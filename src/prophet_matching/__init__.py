@@ -22,7 +22,6 @@ from .core import (
     Realization,
     RunRecord,
     beats,
-    compare,
     validate_matching,
 )
 from .distributions import DistSpec, InstanceSpec, draw_realization
@@ -31,7 +30,6 @@ from .edge_arrival import (
     coupled_equivalence_check,
     run_offline_edge,
     run_online_edge,
-    safe_set,
 )
 from .harness import (
     ExperimentConfig,

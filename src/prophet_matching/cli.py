@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .adversary import parse_order_spec
 from .core import CapabilityError, InputError
 from .distributions import draw_realization
-from .edge_arrival import run_online_edge
 from .harness import (
     ExperimentConfig,
+    _online_trial,
     estimate_ratio,
     estimate_to_csv,
     estimate_to_json,
@@ -26,8 +27,7 @@ from .harness import (
 )
 from .instances import load_instance, parse_dist_spec, parse_graph_spec, save_instance
 from .invariants import SuiteConfig, run_invariant_suite
-from .truthful import misreport_audit, run_truthful
-from .vertex_arrival import run_online_vertex
+from .truthful import misreport_audit
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -66,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the invariant suite")
     p.add_argument("--quick", action="store_true", help="reduced trial counts")
-    p.add_argument("--seed", type=int, default=2024)
+    p.add_argument("--seed", type=int, default=SuiteConfig.seed)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="json")
 
@@ -91,13 +91,7 @@ def _cmd_simulate(args) -> int:
     strategy = parse_order_spec(args.order)
     seed = trial_seed(args.seed, 0)
     real = draw_realization(spec, seed)
-    order = resolve_order(strategy, args.model, spec, real, seed=seed)
-    if args.model == "edge":
-        record = run_online_edge(spec, real, order)
-    elif args.model == "vertex":
-        record = run_online_vertex(spec, real, order)
-    else:
-        record = run_truthful(spec, real, order).record
+    order, record = _online_trial(strategy, args.model, spec, real, seed)
     print(f"model={args.model} seed={args.seed} arrivals={order}")
     for ev in record.events:
         extra = ""
@@ -123,8 +117,6 @@ def _cmd_ratio(args) -> int:
         strategy=parse_order_spec(args.order),
         trials=args.trials,
         master_seed=args.seed,
-        out_path=args.out,
-        out_format=args.format,
     )
     estimate = estimate_ratio(config)
     if args.out:
@@ -143,11 +135,7 @@ def _cmd_ratio(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = SuiteConfig.quick() if args.quick else SuiteConfig()
-    if args.seed != 2024:
-        from dataclasses import replace
-
-        config = replace(config, seed=args.seed)
+    config = replace(SuiteConfig.quick() if args.quick else SuiteConfig(), seed=args.seed)
     report = run_invariant_suite(config)
     for r in report.results:
         status = "PASS" if r.passed else "FAIL"
@@ -165,7 +153,7 @@ def _cmd_audit(args) -> int:
     strategy = parse_order_spec(args.order)
     seed = trial_seed(args.seed, 0)
     real = draw_realization(spec, seed)
-    order = resolve_order(strategy, "truthful", spec, real, seed=seed)
+    order, _ = resolve_order(strategy, "truthful", spec, real, seed=seed)
     failures = 0
     for buyer in spec.graph.buyers:
         ok = misreport_audit(spec, real, order, buyer, args.trials, seed=args.seed)

@@ -55,14 +55,6 @@ def beats(a: DrawnValue, b: DrawnValue) -> bool:
     return a.tiebreak < b.tiebreak
 
 
-def compare(a: DrawnValue, b: DrawnValue) -> str:
-    """Strict comparison of two draws: returns ``"greater"`` or ``"less"``.
-
-    Never returns an equality: distinct keys guarantee a strict total order.
-    """
-    return "greater" if beats(a, b) else "less"
-
-
 @dataclass(frozen=True)
 class Graph:
     """Undirected graph with dense integer vertex ids 0..n-1 and edge ids 0..m-1.

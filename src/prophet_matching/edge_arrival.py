@@ -3,6 +3,8 @@
 The online algorithm prices every vertex with its incident edge weight in a
 greedy matching on the sample values, then accepts an arriving edge iff its
 real value beats both endpoint prices and both endpoints are still free.
+Its arrival loop is the one the vertex-arrival algorithm and the truthful
+mechanism run too; each model supplies only the edge an arrival acts on.
 
 The offline twin replays the same outcome as a single greedy-style scan over
 all 2m draws (both copies of every edge) in decreasing rank order, routing
@@ -43,10 +45,10 @@ _COIN_SALT = 0xC01F11B5
 CoinMode = str | Mapping[int, bool] | Callable[[int], bool]
 
 
-def _check_permutation(order: Sequence[int], count: int, what: str) -> list[int]:
+def _check_order(order, elements, noun: str) -> list[int]:
     order = list(order)
-    if sorted(order) != list(range(count)):
-        raise InputError(f"order must be a permutation of all {count} {what}")
+    if sorted(order) != sorted(elements):
+        raise InputError(f"order must be a permutation of the {noun} ids")
     return order
 
 
@@ -90,32 +92,36 @@ def _effective_labels(
     return Realization(samples=tuple(samples), reals=tuple(reals))
 
 
-def run_online_edge(spec: InstanceSpec, real: Realization, order) -> RunRecord:
-    """Run the online edge-arrival algorithm.
+def _drive_arrivals(spec: InstanceSpec, real: Realization, order, elements, noun: str, choose):
+    """The online loop every model shares; returns the run's record.
 
-    ``order`` is either a permutation of edge ids or a controller object with
-    a ``next_arrival(view)`` method (see :mod:`prophet_matching.adversary`).
-    Acceptance decisions are immediate and irrevocable.
+    Prices every vertex by the greedy matching on the samples, then releases
+    ``elements`` (edge or buyer ids) in ``order``: a permutation of them, or
+    a controller whose ``next_arrival(view)`` picks each next arrival.  For
+    every arrival ``choose(element, prices, matched)`` names the edge acted
+    on, or None, and whether its real value beats both endpoint prices.  A
+    price-beating edge joins the feasible set, and the matching too if both
+    endpoints are still free.
     """
     graph = spec.graph
-    m = graph.num_edges
-    if real.num_edges != m:
+    if real.num_edges != graph.num_edges:
         raise InputError("realization does not match the instance graph")
+    controller = order if hasattr(order, "next_arrival") else None
+    if controller is None:
+        seq = _check_order(order, elements, noun)
+    needs_view = controller is not None and getattr(controller, "needs_view", True)
+    allowed = set(elements)
     sample_matching = greedy_matching(graph, real.samples)
     prices = PriceTable.from_matching(graph, sample_matching, real.samples)
-
-    controller = order if hasattr(order, "next_arrival") else None
-    seq = None if controller is not None else _check_permutation(order, m, "edge ids")
-    needs_view = controller is not None and getattr(controller, "needs_view", True)
 
     matched: set[int] = set()
     accepted: list[int] = []
     feasible: list[int] = []
     events: list[ArrivalEvent] = []
     arrived: set[int] = set()
-    for step in range(m):
+    for step in range(len(allowed)):
         if controller is None:
-            e = seq[step]
+            x = seq[step]
         else:
             view = None
             if needs_view:
@@ -126,33 +132,35 @@ def run_online_edge(spec: InstanceSpec, real: Realization, order) -> RunRecord:
                     feasible=tuple(feasible),
                     arrived=frozenset(arrived),
                 )
-            e = controller.next_arrival(view)
-            if not isinstance(e, int) or not 0 <= e < m:
-                raise ContractViolation(f"controller produced invalid edge id {e!r}")
-            if e in arrived:
-                raise ContractViolation(f"controller released edge {e} twice")
-        arrived.add(e)
+            x = controller.next_arrival(view)
+            if not isinstance(x, int) or x not in allowed:
+                raise ContractViolation(f"controller produced invalid {noun} id {x!r}")
+            if x in arrived:
+                raise ContractViolation(f"controller released {noun} {x} twice")
+        arrived.add(x)
+        e, beats_prices = choose(x, prices, matched)
+        if e is None:
+            events.append(ArrivalEvent(step=step, element=x, outcome="no_feasible_edge"))
+            continue
         u, v = graph.edges[e]
-        r = real.reals[e]
-        threshold = max(prices.price(u), prices.price(v))
-        if prices.beaten_by(r, u) and prices.beaten_by(r, v):
+        if not beats_prices:
+            outcome = "price_rejected"
+        else:
             feasible.append(e)
-            if u not in matched and v not in matched:
+            if u in matched or v in matched:
+                outcome = "conflict_rejected"
+            else:
                 accepted.append(e)
                 matched.update((u, v))
                 outcome = "accepted"
-            else:
-                outcome = "conflict_rejected"
-        else:
-            outcome = "price_rejected"
         events.append(
             ArrivalEvent(
                 step=step,
-                element=e,
+                element=x,
                 outcome=outcome,
                 edge=e,
-                value=r.value,
-                threshold=threshold,
+                value=real.reals[e].value,
+                threshold=max(prices.price(u), prices.price(v)),
             )
         )
     return RunRecord(
@@ -163,6 +171,23 @@ def run_online_edge(spec: InstanceSpec, real: Realization, order) -> RunRecord:
         prices=prices,
         events=tuple(events),
     )
+
+
+def run_online_edge(spec: InstanceSpec, real: Realization, order) -> RunRecord:
+    """Run the online edge-arrival algorithm.
+
+    ``order`` is either a permutation of edge ids or a controller object with
+    a ``next_arrival(view)`` method (see :mod:`prophet_matching.adversary`).
+    Acceptance decisions are immediate and irrevocable.
+    """
+    graph = spec.graph
+
+    def choose(e, prices, matched):
+        u, v = graph.edges[e]
+        r = real.reals[e]
+        return e, prices.beaten_by(r, u) and prices.beaten_by(r, v)
+
+    return _drive_arrivals(spec, real, order, range(graph.num_edges), "edge", choose)
 
 
 @dataclass(frozen=True)
@@ -212,22 +237,6 @@ def _compute_safe(
     return frozenset(out)
 
 
-def safe_set(trace: EdgeArrivalTrace) -> frozenset[int]:
-    """Vertices whose first considered edge is feasible and conflict-shielded.
-
-    A vertex qualifies iff its first considered edge (u, v) is its only
-    feasible incident edge and the other endpoint u has no feasible incident
-    edge ranking below it.
-    """
-    return _compute_safe(
-        trace.graph,
-        frozenset(trace.record.feasible),
-        trace.considered_vertices,
-        trace.first_edge,
-        trace.realization.reals,
-    )
-
-
 _FREE, _REAL_USED, _SAMPLE_USED = 0, 1, 2
 
 
@@ -250,7 +259,7 @@ def run_offline_edge(
     """
     graph = spec.graph
     m = graph.num_edges
-    seq = _check_permutation(order, m, "edge ids")
+    seq = _check_order(order, range(m), "edge")
     eff = _effective_labels(real, coins, coin_seed, graph)
 
     draws = []
@@ -316,17 +325,8 @@ def run_offline_edge(
     )
 
 
-def coupled_equivalence_check(spec: InstanceSpec, seed: int, order) -> bool:
-    """Do the online run and its coupled offline twin agree exactly?
-
-    Draws one realization, runs both procedures with the same arrival order,
-    and compares the feasible set, the sample matching, and the output
-    matching as sets and by weight.  Any disagreement is a bug.
-    """
-    real = draw_realization(spec, seed)
-    order = _check_permutation(order, spec.graph.num_edges, "edge ids")
-    online = run_online_edge(spec, real, order)
-    offline = run_offline_edge(spec, real, order).record
+def _records_agree(online: RunRecord, offline: RunRecord) -> bool:
+    """Same feasible set, sample matching and output matching, as sets and by weight."""
     return (
         set(online.feasible) == set(offline.feasible)
         and online.sample_matching.edges == offline.sample_matching.edges
@@ -335,3 +335,16 @@ def coupled_equivalence_check(spec: InstanceSpec, seed: int, order) -> bool:
         and online.sample_matching.weight == offline.sample_matching.weight
         and online.matching.weight == offline.matching.weight
     )
+
+
+def coupled_equivalence_check(spec: InstanceSpec, seed: int, order) -> bool:
+    """Do the online run and its coupled offline twin agree exactly?
+
+    Draws one realization, runs both procedures with the same arrival order,
+    and compares the feasible set, the sample matching, and the output
+    matching as sets and by weight.  Any disagreement is a bug.
+    """
+    real = draw_realization(spec, seed)
+    order = _check_order(order, range(spec.graph.num_edges), "edge")
+    online = run_online_edge(spec, real, order)
+    return _records_agree(online, run_offline_edge(spec, real, order).record)

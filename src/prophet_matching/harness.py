@@ -18,12 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from .adversary import OrderStrategy, make_controller, static_order
-from .core import CapabilityError, InputError
+from .core import CapabilityError, InputError, RunRecord
 from .distributions import InstanceSpec, draw_realization
 from .edge_arrival import run_online_edge
 from .oracle import max_weight_matching
 from .truthful import run_truthful
-from .vertex_arrival import run_offline_vertex, run_online_vertex
+from .vertex_arrival import build_safe_matching, run_online_vertex
 
 MODELS = ("edge", "vertex", "truthful")
 
@@ -37,16 +37,12 @@ class ExperimentConfig:
     strategy: OrderStrategy
     trials: int
     master_seed: int = 0
-    out_path: str | None = None
-    out_format: str = "csv"
 
     def __post_init__(self):
         if self.model not in MODELS:
             raise InputError(f"unknown model {self.model!r}")
         if self.trials < 1:
             raise InputError("trials must be at least 1")
-        if self.out_format not in ("csv", "json"):
-            raise InputError(f"unknown output format {self.out_format!r}")
         if self.model in ("vertex", "truthful") and self.instance.graph.kind != "bipartite":
             raise CapabilityError(f"model {self.model!r} requires a bipartite instance")
 
@@ -88,30 +84,45 @@ def trial_seed(master_seed: int, trial: int) -> int:
     return int(np.random.SeedSequence([master_seed, trial]).generate_state(1, np.uint64)[0])
 
 
+def _run_online(model: str, spec: InstanceSpec, real, order) -> RunRecord:
+    """The model's online algorithm on one realization and order or controller."""
+    if model == "edge":
+        return run_online_edge(spec, real, order)
+    if model == "vertex":
+        return run_online_vertex(spec, real, order)
+    return run_truthful(spec, real, order).record
+
+
 def resolve_order(
     strategy: OrderStrategy,
     model: str,
     spec: InstanceSpec,
     real,
     seed: int = 0,
-) -> list[int]:
+) -> tuple[list[int], RunRecord | None]:
     """Materialize any strategy into the concrete arrival order for one run.
 
-    Non-adaptive strategies are computed directly.  Adaptive strategies are
-    resolved by driving the model's online algorithm with the policy and
-    recording the arrivals it chose; the policy reacts only to observable
-    state, so replaying the recorded order reproduces the run exactly.
+    Non-adaptive strategies are computed directly and come with no record.
+    Adaptive strategies are resolved by driving the model's online algorithm
+    with the policy and recording the arrivals it chose; that run's record
+    comes with the order.  The policy reacts only to observable state, so
+    replaying the recorded order reproduces the record exactly.
     """
     if strategy.kind != "adaptive":
-        return static_order(strategy, spec.graph, real, model, seed)
+        return static_order(strategy, spec.graph, real, model, seed), None
     controller = make_controller(strategy, spec.graph, real, model, seed)
-    if model == "edge":
-        run_online_edge(spec, real, controller)
-    elif model == "vertex":
-        run_online_vertex(spec, real, controller)
-    else:
-        run_truthful(spec, real, controller)
-    return list(controller.history)
+    record = _run_online(model, spec, real, controller)
+    return list(controller.history), record
+
+
+def _online_trial(
+    strategy: OrderStrategy, model: str, spec: InstanceSpec, real, seed: int
+) -> tuple[list[int], RunRecord]:
+    """The arrival order and the online record of one trial, each computed once."""
+    order, record = resolve_order(strategy, model, spec, real, seed=seed)
+    if record is None:
+        record = _run_online(model, spec, real, order)
+    return order, record
 
 
 def _mean_se(xs: np.ndarray) -> tuple[float, float]:
@@ -153,15 +164,10 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialRow:
     spec = config.instance
     seed = trial_seed(config.master_seed, trial)
     real = draw_realization(spec, seed)
-    order = resolve_order(config.strategy, config.model, spec, real, seed=seed)
+    _, record = _online_trial(config.strategy, config.model, spec, real, seed)
     safe_weight = None
-    if config.model == "edge":
-        record = run_online_edge(spec, real, order)
-    elif config.model == "vertex":
-        record = run_online_vertex(spec, real, order)
-        safe_weight = run_offline_vertex(spec, real, order).safe_matching.weight
-    else:
-        record = run_truthful(spec, real, order).record
+    if config.model == "vertex":
+        safe_weight = build_safe_matching(spec.graph, record.feasible, real.reals).weight
     opt = max_weight_matching(spec.graph, real.reals)
     return TrialRow(
         trial=trial,

@@ -21,11 +21,7 @@ import numpy as np
 from .adversary import OrderStrategy
 from .core import Graph, validate_matching
 from .distributions import DistSpec, InstanceSpec, draw_realization
-from .edge_arrival import (
-    coupled_equivalence_check,
-    run_offline_edge,
-    run_online_edge,
-)
+from .edge_arrival import _records_agree, run_offline_edge, run_online_edge
 from .instances import (
     complete_bipartite,
     complete_graph,
@@ -36,13 +32,7 @@ from .instances import (
 )
 from .oracle import greedy_matching, max_weight_matching
 from .truthful import maximality_check, misreport_audit, run_truthful
-from .vertex_arrival import (
-    coupled_equivalence_check as vertex_coupling_check,
-)
-from .vertex_arrival import (
-    run_offline_vertex,
-    run_online_vertex,
-)
+from .vertex_arrival import run_offline_vertex, run_online_vertex
 
 # ---------------------------------------------------------------------------
 # shipped experiment families
@@ -214,11 +204,10 @@ def check_edge_coupling(instances: int = 1000, seed: int = 101) -> InvariantResu
     for k in range(instances):
         spec = random_small_instance(rng)
         order = _sweep_orders(rng, spec.graph.num_edges, k)
-        real_seed = int(rng.integers(0, 2**63))
-        if not coupled_equivalence_check(spec, real_seed, order):
-            failures += 1
-        real = draw_realization(spec, real_seed)
+        real = draw_realization(spec, int(rng.integers(0, 2**63)))
         record = run_online_edge(spec, real, order)
+        if not _records_agree(record, run_offline_edge(spec, real, order).record):
+            failures += 1
         if not (
             validate_matching(spec.graph, record.matching)
             and validate_matching(spec.graph, record.sample_matching)
@@ -250,12 +239,11 @@ def check_vertex_coupling(instances: int = 1000, seed: int = 102) -> InvariantRe
             order = buyers[::-1]
         else:
             order = buyers
-        real_seed = int(rng.integers(0, 2**63))
-        if not vertex_coupling_check(spec, real_seed, order):
-            failures += 1
-        real = draw_realization(spec, real_seed)
+        real = draw_realization(spec, int(rng.integers(0, 2**63)))
         trace = run_offline_vertex(spec, real, order)
         rec = trace.record
+        if not _records_agree(run_online_vertex(spec, real, order), rec):
+            failures += 1
         # each buyer at most once in the feasible set; weight sandwich holds
         seen_buyers = [spec.graph.buyer_item(e)[0] for e in rec.feasible]
         if len(seen_buyers) != len(set(seen_buyers)):
@@ -326,7 +314,7 @@ def check_bound(
     Also exactly checks the greedy 2-approximation on the sample values of
     every trial (the per-realization guarantee the prices rely on).
     """
-    from .harness import resolve_order, trial_seed
+    from .harness import _online_trial, trial_seed
 
     graph = spec.graph
     alg = np.empty(trials)
@@ -336,13 +324,7 @@ def check_bound(
     for t in range(trials):
         s = trial_seed(seed, t)
         real = draw_realization(spec, s)
-        order = resolve_order(strategy, model, spec, real, seed=s)
-        if model == "edge":
-            record = run_online_edge(spec, real, order)
-        elif model == "vertex":
-            record = run_online_vertex(spec, real, order)
-        else:
-            record = run_truthful(spec, real, order).record
+        _, record = _online_trial(strategy, model, spec, real, s)
         alg[t] = record.matching.weight
         opt[t] = max_weight_matching(graph, real.reals).weight
         if check_greedy:

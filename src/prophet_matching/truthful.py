@@ -16,21 +16,17 @@ from typing import Mapping
 import numpy as np
 
 from .core import (
-    AlgorithmView,
-    ArrivalEvent,
-    CapabilityError,
-    ContractViolation,
     DrawnValue,
     Graph,
     InputError,
     Matching,
-    PriceTable,
     Realization,
     RunRecord,
     beats,
 )
 from .distributions import InstanceSpec
-from .oracle import greedy_matching
+from .edge_arrival import _drive_arrivals
+from .vertex_arrival import _require_bipartite
 
 
 @dataclass(frozen=True)
@@ -45,11 +41,6 @@ class MechanismOutcome:
     @property
     def matching(self) -> Matching:
         return self.record.matching
-
-
-def _require_bipartite(graph):
-    if graph.kind != "bipartite":
-        raise CapabilityError("the mechanism requires a bipartite graph")
 
 
 def run_truthful(
@@ -69,8 +60,6 @@ def run_truthful(
     """
     graph = spec.graph
     _require_bipartite(graph)
-    if real.num_edges != graph.num_edges:
-        raise InputError("realization does not match the instance graph")
     reports = reports or {}
     for i, rep in reports.items():
         if i not in set(graph.buyers):
@@ -81,51 +70,14 @@ def run_truthful(
             if rep[e] < 0:
                 raise InputError("reported values must be non-negative")
 
-    sample_matching = greedy_matching(graph, real.samples)
-    prices = PriceTable.from_matching(graph, sample_matching, real.samples)
-
-    controller = order if hasattr(order, "next_arrival") else None
-    if controller is None:
-        seq = list(order)
-        if sorted(seq) != sorted(graph.buyers):
-            raise InputError("order must be a permutation of the buyer vertices")
-    needs_view = controller is not None and getattr(controller, "needs_view", True)
-    buyer_set = set(graph.buyers)
-
-    taken: set[int] = set()
-    matched_vertices: set[int] = set()
-    accepted: list[int] = []
-    charged: dict[int, float] = {}
-    utilities: dict[int, float] = {}
-    events: list[ArrivalEvent] = []
-    arrived: set[int] = set()
-    for step in range(len(graph.buyers)):
-        if controller is None:
-            i = seq[step]
-        else:
-            view = None
-            if needs_view:
-                view = AlgorithmView(
-                    prices=prices,
-                    matched_vertices=frozenset(matched_vertices),
-                    matching_edges=frozenset(accepted),
-                    feasible=tuple(accepted),
-                    arrived=frozenset(arrived),
-                )
-            i = controller.next_arrival(view)
-            if i not in buyer_set:
-                raise ContractViolation(f"controller produced invalid buyer id {i!r}")
-            if i in arrived:
-                raise ContractViolation(f"controller released buyer {i} twice")
-        arrived.add(i)
-
+    def choose(i, prices, matched):
         rep = reports.get(i, {})
         best_edge = None
         best_surplus = None
         best_claim = None
         for e in graph.incident[i]:
             _, j = graph.buyer_item(e)
-            if j in taken:
+            if j in matched:
                 continue
             claim = DrawnValue(float(rep.get(e, real.reals[e].value)), real.reals[e].tiebreak)
             if not (prices.beaten_by(claim, i) and prices.beaten_by(claim, j)):
@@ -138,37 +90,19 @@ def run_truthful(
                 or (surplus == best_surplus and beats(claim, best_claim))
             ):
                 best_edge, best_surplus, best_claim = e, surplus, claim
-        if best_edge is None:
-            utilities[i] = 0.0
-            events.append(ArrivalEvent(step=step, element=i, outcome="no_feasible_edge"))
-            continue
-        _, j = graph.buyer_item(best_edge)
-        pay = max(prices.price(i), prices.price(j))
-        accepted.append(best_edge)
-        taken.add(j)
-        matched_vertices.update((i, j))
-        charged[i] = pay
-        utilities[i] = real.reals[best_edge].value - pay
-        events.append(
-            ArrivalEvent(
-                step=step,
-                element=i,
-                outcome="accepted",
-                edge=best_edge,
-                value=real.reals[best_edge].value,
-                threshold=pay,
-            )
-        )
+        return best_edge, True
 
-    matching = Matching.from_edges(accepted, real.reals)
-    record = RunRecord(
-        matching=matching,
-        sample_matching=sample_matching,
-        feasible=tuple(accepted),
-        feasible_weight=matching.weight,
-        prices=prices,
-        events=tuple(events),
-    )
+    # the buyer picks among free items only, so every chosen edge is accepted
+    # and the feasible set is the matching; the threshold is the price paid
+    record = _drive_arrivals(spec, real, order, graph.buyers, "buyer", choose)
+    charged: dict[int, float] = {}
+    utilities: dict[int, float] = {}
+    for ev in record.events:
+        if ev.outcome == "accepted":
+            charged[ev.element] = ev.threshold
+            utilities[ev.element] = ev.value - ev.threshold
+        else:
+            utilities[ev.element] = 0.0
     return MechanismOutcome(record=record, graph=graph, charged=charged, utilities=utilities)
 
 

@@ -14,36 +14,26 @@ convention it reproduces the online run exactly, realization by realization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Sequence
 
 from .core import (
-    AlgorithmView,
-    ArrivalEvent,
     CapabilityError,
-    ContractViolation,
+    DrawnValue,
     Graph,
-    InputError,
     Matching,
     PriceTable,
     Realization,
     RunRecord,
     matching_weight,
 )
-from .distributions import InstanceSpec, draw_realization
-from .edge_arrival import CoinMode, _effective_labels
-from .oracle import greedy_matching
+from .distributions import InstanceSpec
+from .edge_arrival import CoinMode, _check_order, _drive_arrivals, _effective_labels
 
 
 def _require_bipartite(graph: Graph):
     if graph.kind != "bipartite":
         raise CapabilityError("vertex-arrival algorithms require a bipartite graph")
-
-
-def _check_buyer_order(order, buyers: tuple[int, ...]) -> list[int]:
-    order = list(order)
-    if sorted(order) != sorted(buyers):
-        raise InputError("order must be a permutation of the buyer vertices")
-    return order
 
 
 def run_online_vertex(spec: InstanceSpec, real: Realization, order) -> RunRecord:
@@ -53,42 +43,8 @@ def run_online_vertex(spec: InstanceSpec, real: Realization, order) -> RunRecord
     """
     graph = spec.graph
     _require_bipartite(graph)
-    if real.num_edges != graph.num_edges:
-        raise InputError("realization does not match the instance graph")
-    sample_matching = greedy_matching(graph, real.samples)
-    prices = PriceTable.from_matching(graph, sample_matching, real.samples)
 
-    controller = order if hasattr(order, "next_arrival") else None
-    seq = None if controller is not None else _check_buyer_order(order, graph.buyers)
-    needs_view = controller is not None and getattr(controller, "needs_view", True)
-    buyer_set = set(graph.buyers)
-
-    taken_items: set[int] = set()
-    matched_vertices: set[int] = set()
-    accepted: list[int] = []
-    feasible: list[int] = []
-    events: list[ArrivalEvent] = []
-    arrived: set[int] = set()
-    for step in range(len(graph.buyers)):
-        if controller is None:
-            i = seq[step]
-        else:
-            view = None
-            if needs_view:
-                view = AlgorithmView(
-                    prices=prices,
-                    matched_vertices=frozenset(matched_vertices),
-                    matching_edges=frozenset(accepted),
-                    feasible=tuple(feasible),
-                    arrived=frozenset(arrived),
-                )
-            i = controller.next_arrival(view)
-            if i not in buyer_set:
-                raise ContractViolation(f"controller produced invalid buyer id {i!r}")
-            if i in arrived:
-                raise ContractViolation(f"controller released buyer {i} twice")
-        arrived.add(i)
-
+    def choose(i, prices, matched):
         best = None
         for e in graph.incident[i]:
             r = real.reals[e]
@@ -96,36 +52,9 @@ def run_online_vertex(spec: InstanceSpec, real: Realization, order) -> RunRecord
             if prices.beaten_by(r, i) and prices.beaten_by(r, j):
                 if best is None or r.sort_key() < real.reals[best].sort_key():
                     best = e
-        if best is None:
-            events.append(ArrivalEvent(step=step, element=i, outcome="no_feasible_edge"))
-            continue
-        feasible.append(best)
-        _, j = graph.buyer_item(best)
-        if j not in taken_items:
-            accepted.append(best)
-            taken_items.add(j)
-            matched_vertices.update((i, j))
-            outcome = "accepted"
-        else:
-            outcome = "conflict_rejected"
-        events.append(
-            ArrivalEvent(
-                step=step,
-                element=i,
-                outcome=outcome,
-                edge=best,
-                value=real.reals[best].value,
-                threshold=max(prices.price(i), prices.price(j)),
-            )
-        )
-    return RunRecord(
-        matching=Matching.from_edges(accepted, real.reals),
-        sample_matching=sample_matching,
-        feasible=tuple(feasible),
-        feasible_weight=matching_weight(feasible, real.reals),
-        prices=prices,
-        events=tuple(events),
-    )
+        return best, True
+
+    return _drive_arrivals(spec, real, order, graph.buyers, "buyer", choose)
 
 
 @dataclass(frozen=True)
@@ -147,16 +76,18 @@ class VertexArrivalTrace:
     coin_flips: tuple[tuple[int, bool], ...]
 
 
-def build_safe_matching(trace: VertexArrivalTrace) -> Matching:
-    """Keep, per item, the highest-ranked feasible edge.
+def build_safe_matching(
+    graph: Graph, feasible: Sequence[int], reals: Sequence[DrawnValue]
+) -> Matching:
+    """Keep, per item, the highest-ranked edge of a feasible set.
 
     Buyers appear at most once in the feasible set, so the result is a valid
-    matching.
+    matching.  It depends on the feasible set only, not on its order, so the
+    online run's feasible set gives the twin's safe matching (they are equal
+    under the coupling).
     """
-    graph = trace.graph
-    reals = trace.realization.reals
     best_for_item: dict[int, int] = {}
-    for e in trace.record.feasible:
+    for e in feasible:
         _, j = graph.buyer_item(e)
         cur = best_for_item.get(j)
         if cur is None or reals[e].sort_key() < reals[cur].sort_key():
@@ -183,7 +114,7 @@ def run_offline_vertex(
     """
     graph = spec.graph
     _require_bipartite(graph)
-    seq = _check_buyer_order(order, graph.buyers)
+    seq = _check_order(order, graph.buyers, "buyer")
     eff = _effective_labels(real, coins, coin_seed, graph)
 
     draws = []
@@ -238,34 +169,13 @@ def run_offline_vertex(
         feasible_weight=matching_weight(feasible, eff.reals),
         prices=PriceTable.from_matching(graph, sample_matching, eff.samples),
     )
-    trace = VertexArrivalTrace(
+    return VertexArrivalTrace(
         record=record,
         graph=graph,
         realization=eff,
-        safe_matching=Matching.empty(),
+        safe_matching=build_safe_matching(graph, feasible, eff.reals),
         open_buyers_real=frozenset(open_real),
         open_buyers_sample=frozenset(open_sample),
         open_items=frozenset(open_items),
         coin_flips=tuple(coin_flips),
-    )
-    return _with_safe_matching(trace)
-
-
-def _with_safe_matching(trace: VertexArrivalTrace) -> VertexArrivalTrace:
-    return replace(trace, safe_matching=build_safe_matching(trace))
-
-
-def coupled_equivalence_check(spec: InstanceSpec, seed: int, order) -> bool:
-    """Vertex-model analogue of the edge-arrival coupling check."""
-    real = draw_realization(spec, seed)
-    order = _check_buyer_order(order, spec.graph.buyers)
-    online = run_online_vertex(spec, real, order)
-    offline = run_offline_vertex(spec, real, order).record
-    return (
-        set(online.feasible) == set(offline.feasible)
-        and online.sample_matching.edges == offline.sample_matching.edges
-        and online.matching.edges == offline.matching.edges
-        and online.feasible_weight == offline.feasible_weight
-        and online.sample_matching.weight == offline.sample_matching.weight
-        and online.matching.weight == offline.matching.weight
     )

@@ -12,7 +12,6 @@ from prophet_matching.core import (
     Matching,
     PriceTable,
     beats,
-    compare,
     validate_matching,
 )
 from prophet_matching.instances import realization_from_dict, realization_to_dict
@@ -22,22 +21,22 @@ from conftest import dv, general_graph, realization
 
 class TestCompare:
     def test_values_differ(self):
-        assert compare(dv(5, 10), dv(3, 99)) == "greater"
-        assert compare(dv(3, 99), dv(5, 10)) == "less"
+        assert beats(dv(5, 10), dv(3, 99))
+        assert not beats(dv(3, 99), dv(5, 10))
 
     def test_tie_resolved_by_key(self):
         # smaller key ranks first, i.e. wins the tie
-        assert compare(dv(4, 2), dv(4, 7)) == "greater"
-        assert compare(dv(4, 7), dv(4, 2)) == "less"
+        assert beats(dv(4, 2), dv(4, 7))
+        assert not beats(dv(4, 7), dv(4, 2))
 
     def test_antisymmetry(self):
         a, b = dv(1.5, 3), dv(1.5, 4)
-        assert compare(a, b) == "greater"
-        assert compare(b, a) == "less"
+        assert beats(a, b)
+        assert not beats(b, a)
 
     def test_equal_keys_fatal(self):
         with pytest.raises(ContractViolation):
-            compare(dv(4, 7), dv(4, 7))
+            beats(dv(4, 7), dv(4, 7))
 
     @given(
         st.lists(

@@ -9,12 +9,13 @@ from prophet_matching.edge_arrival import (
     coupled_equivalence_check,
     run_offline_edge,
     run_online_edge,
-    safe_set,
 )
 from prophet_matching.instances import path_graph, star_graph
 from prophet_matching.invariants import random_small_instance
+from prophet_matching.truthful import run_truthful
+from prophet_matching.vertex_arrival import run_online_vertex
 
-from conftest import general_graph, realization
+from conftest import bipartite_graph, general_graph, realization
 
 
 def _single_edge_spec():
@@ -146,7 +147,6 @@ class TestSafeSet:
         trace = run_offline_edge(spec, real, [0])
         assert set(trace.record.feasible) == {0}
         assert trace.safe == {0, 1}
-        assert safe_set(trace) == trace.safe
 
     def test_shared_endpoint_with_smaller_edge(self):
         # feasible edges (0,1) large and (1,2) small sharing vertex 1:
@@ -204,6 +204,23 @@ class TestStructure:
         spec, real = _three_path()
         with pytest.raises(ContractViolation):
             run_online_edge(spec, real, Repeater())
+
+    @pytest.mark.parametrize("run", [run_online_edge, run_online_vertex, run_truthful])
+    def test_non_int_controller_id_is_fatal(self, run):
+        # 1.0 == 1 is a valid id by value; every model rejects it by type
+        class FloatIds:
+            needs_view = False
+
+            def next_arrival(self, view):
+                return 1.0
+
+        spec = InstanceSpec(
+            graph=bipartite_graph([0, 1], [2], [(0, 2), (1, 2)]),
+            dists=(DistSpec.uniform(0, 10),) * 2,
+        )
+        real = realization(samples=[(1, 11), (1, 12)], reals=[(5, 21), (4, 22)])
+        with pytest.raises(ContractViolation, match="invalid"):
+            run(spec, real, FloatIds())
 
 
 class TestCoinFairness:

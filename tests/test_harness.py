@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from prophet_matching.adversary import OrderStrategy
+from prophet_matching.adversary import OrderStrategy, parse_order_spec
 from prophet_matching.cli import main
 from prophet_matching.core import CapabilityError, InputError
 from prophet_matching.distributions import DistSpec
@@ -20,6 +21,7 @@ from prophet_matching.harness import (
     summarize,
 )
 from prophet_matching.instances import (
+    complete_bipartite,
     complete_graph,
     instance_from_dict,
     load_instance,
@@ -126,9 +128,39 @@ class TestEstimateRatio:
         assert payload["trials"] == 40
         assert payload["ratio"] > 1.0
 
-    def test_vertex_rows_carry_safe_matching_weight(self):
-        from prophet_matching.instances import complete_bipartite
+    # sha256 of the per-trial CSV, pinned across commits: any change that
+    # moves one byte of a row (an online run, an order, the optimum, the
+    # vertex safe-matching column) fails here.  Uniform values keep the bytes
+    # free of libm differences.  A declared random-stream change updates these.
+    @pytest.mark.parametrize(
+        "model, graph, order, digest",
+        [
+            ("edge", "K6", "adaptive:block-best",
+             "cd3e3667dacc966ed11bc3bc2efe4b785d516c8b864dc9f7fa61901d8a0e8f6f"),
+            ("vertex", "K44", "adaptive:starve-items",
+             "553aa320509595abe47d8e600c0c0eaddf5ecd92316e977ebdf3b0ef4efb8a40"),
+            ("truthful", "K36", "random",
+             "9c2c064b80c87a04e24bd9f52c56442f330437e054659e26cbd0f959be698ea4"),
+        ],
+    )
+    def test_csv_bytes_pinned(self, model, graph, order, digest):
+        dist = DistSpec.uniform(0.0, 1.0)
+        spec = {
+            "K6": complete_graph(6, dist),
+            "K44": complete_bipartite(4, 4, dist),
+            "K36": complete_bipartite(3, 6, dist),
+        }[graph]
+        config = ExperimentConfig(
+            instance=spec,
+            model=model,
+            strategy=parse_order_spec(order),
+            trials=200,
+            master_seed=2024,
+        )
+        text = estimate_to_csv(estimate_ratio(config))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    def test_vertex_rows_carry_safe_matching_weight(self):
         config = ExperimentConfig(
             instance=complete_bipartite(2, 2, DistSpec.uniform(0, 1)),
             model="vertex",

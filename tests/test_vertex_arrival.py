@@ -7,11 +7,10 @@ from prophet_matching.core import CapabilityError, InputError, validate_matching
 from prophet_matching.distributions import DistSpec, InstanceSpec, draw_realization
 from prophet_matching.vertex_arrival import (
     build_safe_matching,
-    coupled_equivalence_check,
     run_offline_vertex,
     run_online_vertex,
 )
-from prophet_matching.invariants import random_small_instance
+from prophet_matching.invariants import check_vertex_coupling, random_small_instance
 
 from conftest import bipartite_graph, general_graph, realization
 
@@ -137,7 +136,13 @@ class TestSafeMatching:
         assert set(trace.record.feasible) == {0, 1}
         assert trace.safe_matching.edges == {0}
         assert trace.safe_matching.weight == 9.0
-        assert build_safe_matching(trace) == trace.safe_matching
+        assert build_safe_matching(spec.graph, trace.record.feasible, real.reals) == (
+            trace.safe_matching
+        )
+        online = run_online_vertex(spec, real, [1, 0])
+        assert build_safe_matching(spec.graph, online.feasible, real.reals) == (
+            trace.safe_matching
+        )
 
     def test_conflict_free_feasible_set_is_kept_whole(self):
         spec = InstanceSpec(
@@ -154,12 +159,7 @@ class TestSafeMatching:
 
 class TestCoupling:
     def test_random_sweep(self):
-        rng = np.random.default_rng(37)
-        for k in range(300):
-            spec = random_small_instance(rng, bipartite=True)
-            buyers = list(spec.graph.buyers)
-            if k % 2:
-                order = [buyers[int(x)] for x in rng.permutation(len(buyers))]
-            else:
-                order = buyers
-            assert coupled_equivalence_check(spec, int(rng.integers(0, 2**62)), order)
+        # the one coupling check, on 300 random bipartite instances under
+        # fixed, reversed and random buyer orders
+        result = check_vertex_coupling(instances=300, seed=37)
+        assert result.passed, result.detail
