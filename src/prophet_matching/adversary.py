@@ -108,23 +108,6 @@ def static_order(
     return keyed if strategy.kind == "dec" else keyed[::-1]
 
 
-class FixedController:
-    """Feeds a pre-computed order; never inspects the algorithm state."""
-
-    needs_view = False
-
-    def __init__(self, order):
-        self._order = list(order)
-        self._pos = 0
-        self.history: list[int] = []
-
-    def next_arrival(self, view: AlgorithmView | None) -> int:
-        e = self._order[self._pos]
-        self._pos += 1
-        self.history.append(e)
-        return e
-
-
 class BlockBestController:
     """Edge-model adversary: release the feasible edge that blocks the most.
 
@@ -135,13 +118,10 @@ class BlockBestController:
     This is a stress heuristic, not a worst-case-optimal adversary.
     """
 
-    needs_view = True
-
     def __init__(self, graph: Graph, real: Realization):
         self._graph = graph
         self._real = real
         self._remaining = set(range(graph.num_edges))
-        self.history: list[int] = []
 
     def next_arrival(self, view: AlgorithmView) -> int:
         graph, real = self._graph, self._real
@@ -173,7 +153,6 @@ class BlockBestController:
         else:
             choice = min(self._remaining, key=lambda e: (real.reals[e].value, e))
         self._remaining.remove(choice)
-        self.history.append(choice)
         return choice
 
 
@@ -185,13 +164,10 @@ class StarveItemsController:
     other unarrived buyers.  Buyers with no acceptable edge are released last.
     """
 
-    needs_view = True
-
     def __init__(self, graph: Graph, real: Realization):
         self._graph = graph
         self._real = real
         self._remaining = set(graph.buyers)
-        self.history: list[int] = []
 
     def _best_item(self, buyer: int, view: AlgorithmView) -> int | None:
         graph, real = self._graph, self._real
@@ -220,16 +196,13 @@ class StarveItemsController:
         else:
             choice = min(self._remaining)
         self._remaining.remove(choice)
-        self.history.append(choice)
         return choice
 
 
-def make_controller(
-    strategy: OrderStrategy, graph: Graph, real: Realization, model: str, seed: int = 0
-):
-    """Build the stateful controller for one run of the given model."""
+def make_controller(strategy: OrderStrategy, graph: Graph, real: Realization, model: str):
+    """Build the stateful controller of an adaptive strategy for one run."""
     if strategy.kind != "adaptive":
-        return FixedController(static_order(strategy, graph, real, model, seed))
+        raise InputError("only adaptive strategies have controllers")
     if strategy.policy == "block-best":
         if model != "edge":
             raise InputError("block-best is an edge-arrival policy")

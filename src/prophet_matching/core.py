@@ -9,6 +9,7 @@ when values collide.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -87,6 +88,8 @@ class Graph:
             seen.add(pair)
         if self.kind == "bipartite":
             bset, iset = set(self.buyers), set(self.items)
+            if len(bset) != len(self.buyers) or len(iset) != len(self.items):
+                raise InputError("buyer and item ids must not repeat")
             if bset & iset:
                 raise InputError("buyers and items overlap")
             if bset | iset != set(range(n)):
@@ -138,8 +141,8 @@ class Realization:
         if len(set(keys)) != len(keys):
             raise ContractViolation("tie-break keys are not globally unique")
         for d in self.samples + self.reals:
-            if d.value < 0:
-                raise InputError(f"negative drawn value {d.value}")
+            if not 0 <= d.value < math.inf:  # also false for NaN
+                raise InputError(f"drawn value {d.value} is negative or not finite")
 
     @property
     def num_edges(self) -> int:

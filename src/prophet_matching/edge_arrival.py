@@ -17,6 +17,7 @@ realization, which is the strongest correctness check in the test suite.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -34,60 +35,37 @@ from .core import (
     beats,
     matching_weight,
 )
-from .distributions import InstanceSpec, _edge_words, draw_realization
+from .distributions import InstanceSpec, draw_realization
 from .oracle import greedy_matching
-
-_COIN_SALT = 0xC01F11B5
-
-# CoinMode: "coupled" ties the offline coins to the realization so the twin
-# reproduces the online run exactly; "independent" flips fresh fair coins
-# (requires coin_seed); a mapping or callable forces specific outcomes.
-CoinMode = str | Mapping[int, bool] | Callable[[int], bool]
 
 
 def _check_order(order, elements, noun: str) -> list[int]:
-    order = list(order)
+    try:
+        order = [operator.index(x) for x in order]
+    except TypeError:
+        raise InputError(f"order must hold integer {noun} ids") from None
     if sorted(order) != sorted(elements):
         raise InputError(f"order must be a permutation of the {noun} ids")
     return order
 
 
-def _effective_labels(
-    real: Realization, coins: CoinMode, coin_seed: int | None, graph: Graph
-) -> Realization:
+def _effective_labels(real: Realization, coins: Callable[[int], bool] | None) -> Realization:
     """Relabel which copy of each edge counts as the real draw.
 
     The offline scan flips an edge's coin when its first (larger) copy is
     considered: heads routes that copy to the feasible set, i.e. declares it
     the real draw.  Fixing all coins up front and swapping labels accordingly
     is equivalent, because the pool of active vertices only shrinks, so a copy
-    skipped once can never be considered later.
+    skipped once can never be considered later.  ``coins=None`` is the
+    coupling: heads exactly when the larger copy is already the real draw.
     """
-    if coins == "coupled":
+    if coins is None:
         return real
-    if coins == "independent":
-        if coin_seed is None:
-            raise InputError("independent coins require a coin_seed")
-
-        def heads(e: int) -> bool:
-            u, v = graph.edges[e]
-            return bool(_edge_words(coin_seed, u, v, _COIN_SALT)[0] & 1)
-
-    elif callable(coins):
-        heads = coins
-    elif isinstance(coins, Mapping):
-        forced = coins
-
-        def heads(e: int) -> bool:
-            return bool(forced[e])
-
-    else:
-        raise InputError(f"unrecognized coin mode {coins!r}")
     samples = list(real.samples)
     reals = list(real.reals)
     for e in range(real.num_edges):
         larger_is_real = beats(reals[e], samples[e])
-        if heads(e) != larger_is_real:
+        if coins(e) != larger_is_real:
             samples[e], reals[e] = reals[e], samples[e]
     return Realization(samples=tuple(samples), reals=tuple(reals))
 
@@ -109,7 +87,6 @@ def _drive_arrivals(spec: InstanceSpec, real: Realization, order, elements, noun
     controller = order if hasattr(order, "next_arrival") else None
     if controller is None:
         seq = _check_order(order, elements, noun)
-    needs_view = controller is not None and getattr(controller, "needs_view", True)
     allowed = set(elements)
     sample_matching = greedy_matching(graph, real.samples)
     prices = PriceTable.from_matching(graph, sample_matching, real.samples)
@@ -123,15 +100,13 @@ def _drive_arrivals(spec: InstanceSpec, real: Realization, order, elements, noun
         if controller is None:
             x = seq[step]
         else:
-            view = None
-            if needs_view:
-                view = AlgorithmView(
-                    prices=prices,
-                    matched_vertices=frozenset(matched),
-                    matching_edges=frozenset(accepted),
-                    feasible=tuple(feasible),
-                    arrived=frozenset(arrived),
-                )
+            view = AlgorithmView(
+                prices=prices,
+                matched_vertices=frozenset(matched),
+                matching_edges=frozenset(accepted),
+                feasible=tuple(feasible),
+                arrived=frozenset(arrived),
+            )
             x = controller.next_arrival(view)
             if not isinstance(x, int) or x not in allowed:
                 raise ContractViolation(f"controller produced invalid {noun} id {x!r}")
@@ -202,7 +177,6 @@ class EdgeArrivalTrace:
     """
 
     record: RunRecord
-    graph: Graph
     realization: Realization  # with labels as the scan used them
     considered: tuple[int, ...]
     considered_vertices: frozenset[int]
@@ -244,8 +218,7 @@ def run_offline_edge(
     spec: InstanceSpec,
     real: Realization,
     order,
-    coin_seed: int | None = None,
-    coins: CoinMode = "coupled",
+    coins: Callable[[int], bool] | None = None,
 ) -> EdgeArrivalTrace:
     """Run the offline twin: one decreasing scan over all 2m draws.
 
@@ -255,12 +228,14 @@ def run_offline_edge(
     and adds the edge to the sample matching, retiring both endpoints.  The
     later, smaller copy of a feasible edge still joins the sample matching if
     its endpoints remain active.  Finally the output matching is extracted
-    from the feasible set in the given arrival order.
+    from the feasible set in the given arrival order.  ``coins(e)`` forces
+    edge ``e``'s coin; None couples the coins to the realization, so that the
+    twin reproduces the online run exactly.
     """
     graph = spec.graph
     m = graph.num_edges
     seq = _check_order(order, range(m), "edge")
-    eff = _effective_labels(real, coins, coin_seed, graph)
+    eff = _effective_labels(real, coins)
 
     draws = []
     for e in range(m):
@@ -315,7 +290,6 @@ def run_offline_edge(
     considered_vertices = frozenset(first_edge)
     return EdgeArrivalTrace(
         record=record,
-        graph=graph,
         realization=eff,
         considered=tuple(considered),
         considered_vertices=considered_vertices,

@@ -104,15 +104,15 @@ def resolve_order(
 
     Non-adaptive strategies are computed directly and come with no record.
     Adaptive strategies are resolved by driving the model's online algorithm
-    with the policy and recording the arrivals it chose; that run's record
-    comes with the order.  The policy reacts only to observable state, so
-    replaying the recorded order reproduces the record exactly.
+    with the policy; the order is read from that run's events, and its
+    record comes with the order.  The policy reacts only to observable state,
+    so replaying the recorded order reproduces the record exactly.
     """
     if strategy.kind != "adaptive":
         return static_order(strategy, spec.graph, real, model, seed), None
-    controller = make_controller(strategy, spec.graph, real, model, seed)
+    controller = make_controller(strategy, spec.graph, real, model)
     record = _run_online(model, spec, real, controller)
-    return list(controller.history), record
+    return [ev.element for ev in record.events], record
 
 
 def _online_trial(

@@ -1,4 +1,4 @@
-"""Instance files, generators, and realization serialization.
+"""Instance files and generators.
 
 The instance format is plain JSON:
 
@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DrawnValue, Graph, InputError, Realization
+from .core import Graph, InputError
 from .distributions import DistSpec, InstanceSpec
 
 
@@ -126,30 +126,6 @@ def load_instance(path: str | Path) -> InstanceSpec:
 
 def save_instance(spec: InstanceSpec, path: str | Path):
     Path(path).write_text(json.dumps(instance_to_dict(spec), indent=2) + "\n")
-
-
-def realization_to_dict(real: Realization) -> dict:
-    return {
-        "draws": [
-            {
-                "edge": e,
-                "sample": {"value": real.samples[e].value, "tiebreak": real.samples[e].tiebreak},
-                "real": {"value": real.reals[e].value, "tiebreak": real.reals[e].tiebreak},
-            }
-            for e in range(real.num_edges)
-        ]
-    }
-
-
-def realization_from_dict(data: dict) -> Realization:
-    draws = sorted(data["draws"], key=lambda d: d["edge"])
-    samples = tuple(
-        DrawnValue(float(d["sample"]["value"]), int(d["sample"]["tiebreak"])) for d in draws
-    )
-    reals = tuple(
-        DrawnValue(float(d["real"]["value"]), int(d["real"]["tiebreak"])) for d in draws
-    )
-    return Realization(samples=samples, reals=reals)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 
 from .adversary import OrderStrategy
 from .core import Graph, validate_matching
-from .distributions import DistSpec, InstanceSpec, draw_realization
+from .distributions import DistSpec, InstanceSpec, _edge_words, draw_realization
 from .edge_arrival import _records_agree, run_offline_edge, run_online_edge
 from .instances import (
     complete_bipartite,
@@ -232,13 +232,8 @@ def check_vertex_coupling(instances: int = 1000, seed: int = 102) -> InvariantRe
     structural = 0
     for k in range(instances):
         spec = random_small_instance(rng, bipartite=True)
-        buyers = list(spec.graph.buyers)
-        if k % 3 == 2:
-            order = [buyers[int(x)] for x in rng.permutation(len(buyers))]
-        elif k % 3 == 1:
-            order = buyers[::-1]
-        else:
-            order = buyers
+        buyers = spec.graph.buyers
+        order = [buyers[i] for i in _sweep_orders(rng, len(buyers), k)]
         real = draw_realization(spec, int(rng.integers(0, 2**63)))
         trace = run_offline_vertex(spec, real, order)
         rec = trace.record
@@ -452,16 +447,21 @@ def check_edge_chain(
     return results
 
 
+_COIN_SALT = 0xC01F11B5
+
+
 def check_coin_fairness(
     spec: InstanceSpec, trials: int, seed: int, label: str
 ) -> InvariantResult:
     """P[first considered incident edge is feasible | vertex touched] = 1/2.
 
     Measured with genuinely independent coins, the reading in which the rate
-    is exactly a fair coin.
+    is exactly a fair coin: each edge's coin is one bit of a hash of its
+    endpoints under a per-trial coin seed.
     """
     from .harness import trial_seed
 
+    edges = spec.graph.edges
     rng_orders = np.random.default_rng(np.random.SeedSequence([seed, 778]))
     m = spec.graph.num_edges
     num = np.empty(trials)
@@ -469,9 +469,12 @@ def check_coin_fairness(
     for t in range(trials):
         real = draw_realization(spec, trial_seed(seed, t))
         order = [int(x) for x in rng_orders.permutation(m)]
-        trace = run_offline_edge(
-            spec, real, order, coin_seed=trial_seed(seed ^ 0xC0FFEE, t), coins="independent"
-        )
+        coin_seed = trial_seed(seed ^ 0xC0FFEE, t)
+
+        def heads(e: int) -> bool:
+            return bool(_edge_words(coin_seed, *edges[e], _COIN_SALT)[0] & 1)
+
+        trace = run_offline_edge(spec, real, order, coins=heads)
         feas = frozenset(trace.record.feasible)
         den[t] = len(trace.considered_vertices)
         num[t] = sum(

@@ -162,36 +162,16 @@ def _enumerate_opt(graph: Graph, vals: Sequence[DrawnValue]) -> Matching:
     return Matching.from_edges(best_edges, vals)
 
 
-def max_weight_matching(graph: Graph, values, solver: str = "auto") -> Matching:
+def max_weight_matching(graph: Graph, values) -> Matching:
     """Exact maximum-weight matching.
 
-    Solver selection with ``"auto"``: bipartite graphs use the assignment
-    solver; general graphs use subset DP up to 22 vertices, then subset
-    enumeration up to 24 edges.  Beyond both caps a :class:`CapabilityError`
-    is raised rather than silently approximating.  Ties in total weight are
-    broken arbitrarily; only the weight is contractual.
+    Bipartite graphs use the assignment solver; general graphs use subset DP
+    up to 22 vertices, then subset enumeration up to 24 edges.  Beyond both
+    caps a :class:`CapabilityError` is raised rather than silently
+    approximating.  Ties in total weight are broken arbitrarily; only the
+    weight is contractual.
     """
     vals = _as_value_list(graph, values)
-    if solver == "assignment":
-        if graph.kind != "bipartite":
-            raise CapabilityError("assignment solver requires a bipartite graph")
-        return _assignment_opt(graph, vals)
-    if solver == "dp":
-        if graph.num_vertices > DP_VERTEX_CAP:
-            raise CapabilityError(
-                f"subset DP handles at most {DP_VERTEX_CAP} vertices, "
-                f"got {graph.num_vertices}"
-            )
-        return _dp_opt(graph, vals)
-    if solver == "enumerate":
-        if graph.num_edges > ENUMERATION_EDGE_CAP:
-            raise CapabilityError(
-                f"enumeration handles at most {ENUMERATION_EDGE_CAP} edges, "
-                f"got {graph.num_edges}"
-            )
-        return _enumerate_opt(graph, vals)
-    if solver != "auto":
-        raise InputError(f"unknown solver {solver!r}")
     if graph.kind == "bipartite":
         return _assignment_opt(graph, vals)
     if graph.num_vertices <= DP_VERTEX_CAP:

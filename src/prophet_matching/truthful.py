@@ -10,6 +10,7 @@ item or buy one she values less.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -67,8 +68,8 @@ def run_truthful(
         for e in rep:
             if not 0 <= e < graph.num_edges or i not in graph.edges[e]:
                 raise InputError(f"buyer {i} reported a value for non-incident edge {e}")
-            if rep[e] < 0:
-                raise InputError("reported values must be non-negative")
+            if not 0 <= rep[e] < math.inf:  # also false for NaN
+                raise InputError("reported values must be non-negative and finite")
 
     def choose(i, prices, matched):
         rep = reports.get(i, {})

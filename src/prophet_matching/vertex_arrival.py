@@ -15,7 +15,7 @@ convention it reproduces the online run exactly, realization by realization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import (
     CapabilityError,
@@ -28,7 +28,7 @@ from .core import (
     matching_weight,
 )
 from .distributions import InstanceSpec
-from .edge_arrival import CoinMode, _check_order, _drive_arrivals, _effective_labels
+from .edge_arrival import _check_order, _drive_arrivals, _effective_labels
 
 
 def _require_bipartite(graph: Graph):
@@ -67,13 +67,10 @@ class VertexArrivalTrace:
     """
 
     record: RunRecord
-    graph: Graph
-    realization: Realization
     safe_matching: Matching
     open_buyers_real: frozenset[int]
     open_buyers_sample: frozenset[int]
     open_items: frozenset[int]
-    coin_flips: tuple[tuple[int, bool], ...]
 
 
 def build_safe_matching(
@@ -99,23 +96,24 @@ def run_offline_vertex(
     spec: InstanceSpec,
     real: Realization,
     order,
-    coin_seed: int | None = None,
-    coins: CoinMode = "coupled",
+    coins: Callable[[int], bool] | None = None,
 ) -> VertexArrivalTrace:
     """Run the offline twin of the vertex-arrival algorithm.
 
-    Scans all 2m draws in decreasing rank order.  A free edge is coin-marked
-    on first sight.  A real-designated copy joins the feasible set if its
-    buyer has no feasible edge yet, is unmatched on the sample side, and its
-    item is still open; its buyer then leaves the open-for-feasible pool.  A
-    sample-designated copy joins the sample matching if buyer and item are
-    open on the sample side; both then leave their pools.  The output
-    matching is extracted from the feasible set in buyer arrival order.
+    Scans all 2m draws in decreasing rank order; each edge's coin names
+    which of its copies is real-designated.  A real-designated copy joins the
+    feasible set if its buyer has no feasible edge yet, is unmatched on the
+    sample side, and its item is still open; its buyer then leaves the
+    open-for-feasible pool.  A sample-designated copy joins the sample
+    matching if buyer and item are open on the sample side; both then leave
+    their pools.  The output matching is extracted from the feasible set in
+    buyer arrival order.  ``coins`` forces coins as in ``run_offline_edge``;
+    None couples them to the realization.
     """
     graph = spec.graph
     _require_bipartite(graph)
     seq = _check_order(order, graph.buyers, "buyer")
-    eff = _effective_labels(real, coins, coin_seed, graph)
+    eff = _effective_labels(real, coins)
 
     draws = []
     for e in range(graph.num_edges):
@@ -123,18 +121,13 @@ def run_offline_vertex(
         draws.append((eff.reals[e].sort_key(), e, True))
     draws.sort()
 
-    marked = [False] * graph.num_edges
     open_real: set[int] = set(graph.buyers)
     open_sample: set[int] = set(graph.buyers)
     open_items: set[int] = set(graph.items)
     feasible: list[int] = []
     sample_ids: list[int] = []
-    coin_flips: list[tuple[int, bool]] = []
     for _, e, is_real in draws:
         i, j = graph.buyer_item(e)
-        if not marked[e]:
-            marked[e] = True
-            coin_flips.append((e, is_real))
         if is_real:
             if i in open_real and j in open_items:
                 feasible.append(e)
@@ -171,11 +164,8 @@ def run_offline_vertex(
     )
     return VertexArrivalTrace(
         record=record,
-        graph=graph,
-        realization=eff,
         safe_matching=build_safe_matching(graph, feasible, eff.reals),
         open_buyers_real=frozenset(open_real),
         open_buyers_sample=frozenset(open_sample),
         open_items=frozenset(open_items),
-        coin_flips=tuple(coin_flips),
     )

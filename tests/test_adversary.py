@@ -99,9 +99,8 @@ class TestAdaptivePolicies:
         # all three edges are price-feasible and acceptable; the middle edge
         # conflicts with both side edges, so it blocks the most weight
         spec, real = _three_path()
-        controller = BlockBestController(spec.graph, real)
-        record = run_online_edge(spec, real, controller)
-        assert controller.history[0] == 1
+        record = run_online_edge(spec, real, BlockBestController(spec.graph, real))
+        assert record.events[0].element == 1
         assert record.matching.edges == {1}
         assert record.matching.weight == 3.0
 
@@ -110,9 +109,8 @@ class TestAdaptivePolicies:
         for _ in range(30):
             spec = random_small_instance(rng, bipartite=False)
             real = draw_realization(spec, int(rng.integers(0, 2**62)))
-            controller = BlockBestController(spec.graph, real)
-            run_online_edge(spec, real, controller)
-            assert sorted(controller.history) == list(range(spec.graph.num_edges))
+            record = run_online_edge(spec, real, BlockBestController(spec.graph, real))
+            assert sorted(ev.element for ev in record.events) == list(range(spec.graph.num_edges))
 
     def test_starve_items_targets_contested_item(self):
         graph = bipartite_graph([0, 1], [2, 3], [(0, 2), (0, 3), (1, 2)])
@@ -121,19 +119,17 @@ class TestAdaptivePolicies:
             samples=[(0, 11), (0, 12), (0, 13)],
             reals=[(5, 21), (4, 22), (5.5, 23)],
         )
-        controller = StarveItemsController(spec.graph, real)
-        run_online_vertex(spec, real, controller)
+        record = run_online_vertex(spec, real, StarveItemsController(spec.graph, real))
         # both buyers want item 2 most; the tie releases the smaller id
-        assert controller.history == [0, 1]
+        assert [ev.element for ev in record.events] == [0, 1]
 
     def test_starve_items_permutation_on_sweep(self):
         rng = np.random.default_rng(59)
         for _ in range(30):
             spec = random_small_instance(rng, bipartite=True)
             real = draw_realization(spec, int(rng.integers(0, 2**62)))
-            controller = StarveItemsController(spec.graph, real)
-            run_online_vertex(spec, real, controller)
-            assert sorted(controller.history) == sorted(spec.graph.buyers)
+            record = run_online_vertex(spec, real, StarveItemsController(spec.graph, real))
+            assert sorted(ev.element for ev in record.events) == sorted(spec.graph.buyers)
 
     def test_policy_model_mismatch(self):
         spec, real = _three_path()
@@ -142,6 +138,9 @@ class TestAdaptivePolicies:
                 OrderStrategy(kind="adaptive", policy="starve-items"),
                 spec.graph, real, "edge",
             )
+        # static strategies are materialized by static_order, never driven
+        with pytest.raises(InputError):
+            make_controller(OrderStrategy(kind="random"), spec.graph, real, "edge")
 
     def test_resolved_order_replays_identically(self):
         rng = np.random.default_rng(61)

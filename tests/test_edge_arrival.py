@@ -13,7 +13,7 @@ from prophet_matching.edge_arrival import (
 from prophet_matching.instances import path_graph, star_graph
 from prophet_matching.invariants import random_small_instance
 from prophet_matching.truthful import run_truthful
-from prophet_matching.vertex_arrival import run_online_vertex
+from prophet_matching.vertex_arrival import run_offline_vertex, run_online_vertex
 
 from conftest import bipartite_graph, general_graph, realization
 
@@ -99,14 +99,10 @@ class TestOfflineForcedCoins:
 
     def test_forced_mapping_accepted(self):
         spec, real = _three_path()
-        trace = run_offline_edge(spec, real, [0, 1, 2], coins={0: True, 1: False, 2: True})
+        forced = {0: True, 1: False, 2: True}
+        trace = run_offline_edge(spec, real, [0, 1, 2], coins=forced.__getitem__)
         assert 0 in set(trace.record.feasible)
         assert 2 in set(trace.record.feasible)
-
-    def test_independent_coins_need_seed(self):
-        spec, real = _three_path()
-        with pytest.raises(InputError):
-            run_offline_edge(spec, real, [0, 1, 2], coins="independent")
 
 
 class TestCoupling:
@@ -196,8 +192,6 @@ class TestStructure:
 
     def test_repeating_controller_is_fatal(self):
         class Repeater:
-            needs_view = False
-
             def next_arrival(self, view):
                 return 0
 
@@ -209,8 +203,6 @@ class TestStructure:
     def test_non_int_controller_id_is_fatal(self, run):
         # 1.0 == 1 is a valid id by value; every model rejects it by type
         class FloatIds:
-            needs_view = False
-
             def next_arrival(self, view):
                 return 1.0
 
@@ -223,6 +215,34 @@ class TestStructure:
             run(spec, real, FloatIds())
 
 
+    @pytest.mark.parametrize(
+        "run, order",
+        [
+            (run_online_edge, [0.0, 1.0, 2.0, 3.0]),
+            (run_offline_edge, [0.0, 1.0, 2.0, 3.0]),
+            (run_online_vertex, [0.0, 1.0]),
+            (run_offline_vertex, [0.0, 1.0]),
+            (run_truthful, [0.0, 1.0]),
+        ],
+        ids=lambda x: getattr(x, "__name__", "floats"),
+    )
+    def test_non_integer_order_ids_rejected(self, run, order):
+        # 1.0 == 1, so a check by value alone lets float ids through
+        spec = InstanceSpec(
+            graph=bipartite_graph([0, 1], [2, 3], [(0, 2), (0, 3), (1, 2), (1, 3)]),
+            dists=(DistSpec.uniform(0, 10),) * 4,
+        )
+        real = realization(
+            samples=[(1, 11), (2, 12), (3, 13), (4, 14)],
+            reals=[(5, 21), (6, 22), (7, 23), (8, 24)],
+        )
+        with pytest.raises(InputError, match="integer"):
+            run(spec, real, order)
+        # numpy integers are integer ids
+        ids = list(range(len(order)))
+        assert run(spec, real, np.array(ids)) == run(spec, real, ids)
+
+
 class TestCoinFairness:
     def test_leading_edge_feasible_rate_near_half(self):
         from prophet_matching.invariants import DIST_FAMILIES, check_coin_fairness
@@ -232,3 +252,5 @@ class TestCoinFairness:
             complete_graph(6, DIST_FAMILIES["uniform"]), trials=1500, seed=3, label="unit"
         )
         assert result.passed
+        # pins the independent coin stream
+        assert result.data["p"] == 0.5208888888888888

@@ -5,9 +5,15 @@ import pytest
 
 from prophet_matching.core import CapabilityError, InputError, validate_matching
 from prophet_matching.distributions import DistSpec, draw_realization
-from prophet_matching.instances import complete_bipartite, path_graph
+from prophet_matching.instances import path_graph
 from prophet_matching.invariants import random_small_instance
-from prophet_matching.oracle import greedy_matching, max_weight_matching
+from prophet_matching.oracle import (
+    _assignment_opt,
+    _dp_opt,
+    _enumerate_opt,
+    greedy_matching,
+    max_weight_matching,
+)
 
 from conftest import bipartite_graph, brute_force_max_weight, dv, general_graph
 
@@ -68,8 +74,10 @@ class TestMaxWeight:
         vals = [dv(5, 1), dv(3, 2), dv(4, 3)]
         assert max_weight_matching(g, vals).weight == 9.0
 
-    @pytest.mark.parametrize("solver", ["auto", "dp", "enumerate"])
-    def test_solvers_agree_with_brute_force_general(self, solver):
+    @pytest.mark.parametrize(
+        "solve", [max_weight_matching, _dp_opt, _enumerate_opt], ids=["auto", "dp", "enumerate"]
+    )
+    def test_solvers_agree_with_brute_force_general(self, solve):
         rng = np.random.default_rng(11)
         for _ in range(25):
             spec = random_small_instance(rng, bipartite=False)
@@ -77,7 +85,7 @@ class TestMaxWeight:
                 continue
             real = draw_realization(spec, int(rng.integers(0, 2**62)))
             expected = brute_force_max_weight(spec.graph, real.reals)
-            got = max_weight_matching(spec.graph, real.reals, solver=solver)
+            got = solve(spec.graph, real.reals)
             assert got.weight == pytest.approx(expected, abs=1e-12)
             assert validate_matching(spec.graph, got)
 
@@ -86,8 +94,8 @@ class TestMaxWeight:
         for _ in range(25):
             spec = random_small_instance(rng, bipartite=True)
             real = draw_realization(spec, int(rng.integers(0, 2**62)))
-            a = max_weight_matching(spec.graph, real.reals, solver="assignment")
-            b = max_weight_matching(spec.graph, real.reals, solver="enumerate")
+            a = _assignment_opt(spec.graph, real.reals)
+            b = _enumerate_opt(spec.graph, real.reals)
             assert a.weight == pytest.approx(b.weight, abs=1e-12)
 
     def test_greedy_two_approximation_exact(self):
@@ -115,17 +123,11 @@ class TestCapabilities:
             max_weight_matching(spec.graph, real.reals)
 
     def test_enumerate_cap(self):
-        spec = complete_bipartite(5, 5, DistSpec.point_mass(1.0))
-        real = draw_realization(spec, 0)
+        # past the DP vertex cap, general graphs are enumerated up to 24 edges
+        within = path_graph(25, DistSpec.point_mass(1.0))
+        real = draw_realization(within, 0)
+        assert max_weight_matching(within.graph, real.reals).weight == 12.0
+        beyond = path_graph(26, DistSpec.point_mass(1.0))
+        real = draw_realization(beyond, 0)
         with pytest.raises(CapabilityError):
-            max_weight_matching(spec.graph, real.reals, solver="enumerate")
-
-    def test_assignment_requires_bipartite(self):
-        g = general_graph(3, [(0, 1)])
-        with pytest.raises(CapabilityError):
-            max_weight_matching(g, [dv(1, 1)], solver="assignment")
-
-    def test_unknown_solver(self):
-        g = general_graph(2, [(0, 1)])
-        with pytest.raises(InputError):
-            max_weight_matching(g, [dv(1, 1)], solver="blossom")
+            max_weight_matching(beyond.graph, real.reals)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from itertools import product
 
 import numpy as np
@@ -71,8 +72,9 @@ class TestMechanismBasics:
         real = realization(samples=[(5, 10)], reals=[(7, 20)])
         with pytest.raises(InputError):
             run_truthful(spec, real, [0], reports={0: {5: 1.0}})
-        with pytest.raises(InputError):
-            run_truthful(spec, real, [0], reports={0: {0: -2.0}})
+        for bad in (-2.0, math.nan, math.inf):
+            with pytest.raises(InputError):
+                run_truthful(spec, real, [0], reports={0: {0: bad}})
         with pytest.raises(InputError):
             run_truthful(spec, real, [0], reports={7: {0: 1.0}})
 
