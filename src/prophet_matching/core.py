@@ -20,7 +20,7 @@ class InputError(ValueError):
 
 
 class CapabilityError(RuntimeError):
-    """The request is valid but outside what the configured solvers handle."""
+    """The request is well formed but outside what the chosen model supports."""
 
 
 class ContractViolation(RuntimeError):

@@ -108,7 +108,11 @@ def _drive_arrivals(spec: InstanceSpec, real: Realization, order, elements, noun
                 arrived=frozenset(arrived),
             )
             x = controller.next_arrival(view)
-            if not isinstance(x, int) or x not in allowed:
+            try:
+                x = operator.index(x)
+            except TypeError:
+                raise ContractViolation(f"controller produced invalid {noun} id {x!r}") from None
+            if x not in allowed:
                 raise ContractViolation(f"controller produced invalid {noun} id {x!r}")
             if x in arrived:
                 raise ContractViolation(f"controller released {noun} {x} twice")

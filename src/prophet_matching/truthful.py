@@ -11,6 +11,7 @@ item or buy one she values less.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -68,8 +69,8 @@ def run_truthful(
         for e in rep:
             if not 0 <= e < graph.num_edges or i not in graph.edges[e]:
                 raise InputError(f"buyer {i} reported a value for non-incident edge {e}")
-            if not 0 <= rep[e] < math.inf:  # also false for NaN
-                raise InputError("reported values must be non-negative and finite")
+            if not (isinstance(rep[e], numbers.Real) and 0 <= rep[e] < math.inf):  # NaN fails too
+                raise InputError("reported values must be non-negative finite numbers")
 
     def choose(i, prices, matched):
         rep = reports.get(i, {})

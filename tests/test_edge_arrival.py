@@ -214,6 +214,28 @@ class TestStructure:
         with pytest.raises(ContractViolation, match="invalid"):
             run(spec, real, FloatIds())
 
+    @pytest.mark.parametrize(
+        "run, ids",
+        [(run_online_edge, [3, 1, 0, 2]), (run_online_vertex, [1, 0]), (run_truthful, [1, 0])],
+        ids=lambda x: getattr(x, "__name__", "ids"),
+    )
+    def test_numpy_int_controller_ids_accepted(self, run, ids):
+        class Replay:
+            def __init__(self, cast):
+                self.cast = cast
+
+            def next_arrival(self, view):
+                return self.cast(ids[len(view.arrived)])
+
+        spec = InstanceSpec(
+            graph=bipartite_graph([0, 1], [2, 3], [(0, 2), (0, 3), (1, 2), (1, 3)]),
+            dists=(DistSpec.uniform(0, 10),) * 4,
+        )
+        real = realization(
+            samples=[(1, 11), (2, 12), (3, 13), (4, 14)],
+            reals=[(5, 21), (6, 22), (7, 23), (8, 24)],
+        )
+        assert run(spec, real, Replay(np.int64)) == run(spec, real, Replay(int))
 
     @pytest.mark.parametrize(
         "run, order",

@@ -259,9 +259,19 @@ class TestCli:
         assert main(["simulate", "--instance", str(inst), "--order", "bogus"]) == 2
 
     def test_capability_error_exit_code(self, tmp_path):
-        inst = self._gen(tmp_path, graph="path:30", dist="point_mass:1")
-        code = main(["ratio", "--instance", str(inst), "--trials", "2"])
+        inst = self._gen(tmp_path, graph="complete:6")
+        code = main(["ratio", "--instance", str(inst), "--model", "vertex", "--trials", "2"])
         assert code == 3
+
+    def test_ratio_on_large_general_graph(self, tmp_path, capsys):
+        inst = self._gen(tmp_path, graph="complete:30")
+        capsys.readouterr()
+        code = main(
+            ["ratio", "--instance", str(inst), "--model", "edge", "--trials", "3",
+             "--format", "json"]
+        )
+        assert code == 0
+        assert math.isfinite(json.loads(capsys.readouterr().out)["ratio"])
 
     def test_verify_exit_codes_with_stub(self, tmp_path, monkeypatch, capsys):
         from prophet_matching import cli

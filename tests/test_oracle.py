@@ -1,21 +1,30 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from prophet_matching.core import CapabilityError, InputError, validate_matching
-from prophet_matching.distributions import DistSpec, draw_realization
-from prophet_matching.instances import path_graph
-from prophet_matching.invariants import random_small_instance
+from prophet_matching.core import InputError, validate_matching
+from prophet_matching.distributions import DistSpec, InstanceSpec, draw_realization
+from prophet_matching.instances import complete_graph, path_graph
+from prophet_matching.invariants import DIST_FAMILIES, random_small_instance
 from prophet_matching.oracle import (
+    DP_VERTEX_CAP,
     _assignment_opt,
+    _blossom_opt,
     _dp_opt,
-    _enumerate_opt,
     greedy_matching,
     max_weight_matching,
 )
 
 from conftest import bipartite_graph, brute_force_max_weight, dv, general_graph
+
+# the gate's four value families, plus point masses: all-tied weights
+CROSSCHECK_DISTS = {**DIST_FAMILIES, "point_mass": DistSpec.point_mass(1.0)}
 
 
 class TestGreedy:
@@ -75,7 +84,7 @@ class TestMaxWeight:
         assert max_weight_matching(g, vals).weight == 9.0
 
     @pytest.mark.parametrize(
-        "solve", [max_weight_matching, _dp_opt, _enumerate_opt], ids=["auto", "dp", "enumerate"]
+        "solve", [max_weight_matching, _dp_opt, _blossom_opt], ids=["auto", "dp", "blossom"]
     )
     def test_solvers_agree_with_brute_force_general(self, solve):
         rng = np.random.default_rng(11)
@@ -89,14 +98,32 @@ class TestMaxWeight:
             assert got.weight == pytest.approx(expected, abs=1e-12)
             assert validate_matching(spec.graph, got)
 
-    def test_assignment_agrees_with_enumeration_bipartite(self):
+    def test_assignment_agrees_with_blossom_bipartite(self):
+        # blossom runs on bipartite graphs too, so it is an independent reference
         rng = np.random.default_rng(12)
         for _ in range(25):
             spec = random_small_instance(rng, bipartite=True)
             real = draw_realization(spec, int(rng.integers(0, 2**62)))
             a = _assignment_opt(spec.graph, real.reals)
-            b = _enumerate_opt(spec.graph, real.reals)
+            b = _blossom_opt(spec.graph, real.reals)
             assert a.weight == pytest.approx(b.weight, abs=1e-12)
+
+    @pytest.mark.parametrize("dist_name", list(CROSSCHECK_DISTS))
+    def test_blossom_agrees_with_dp_past_cap(self, dist_name):
+        # the two exact solvers share no code; at 13-18 vertices
+        # max_weight_matching uses blossom and the DP is still quick
+        dist = CROSSCHECK_DISTS[dist_name]
+        rng = np.random.default_rng(list(CROSSCHECK_DISTS).index(dist_name))
+        for _ in range(60):
+            n = int(rng.integers(DP_VERTEX_CAP + 1, 19))
+            p = float(rng.uniform(0.15, 0.9))
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            spec = InstanceSpec(graph=general_graph(n, edges), dists=(dist,) * len(edges))
+            real = draw_realization(spec, int(rng.integers(0, 2**62)))
+            dp = _dp_opt(spec.graph, real.reals)
+            blossom = _blossom_opt(spec.graph, real.reals)
+            assert validate_matching(spec.graph, blossom)
+            assert blossom.weight == pytest.approx(dp.weight, rel=1e-12, abs=0)
 
     def test_greedy_two_approximation_exact(self):
         rng = np.random.default_rng(13)
@@ -115,19 +142,43 @@ class TestMaxWeight:
 
 
 class TestCapabilities:
-    def test_large_sparse_general_graph_refused(self):
-        # 30-vertex path: beyond the DP vertex cap and the enumeration edge cap
+    def test_large_sparse_general_graph_solved(self):
         spec = path_graph(30, DistSpec.point_mass(1.0))
         real = draw_realization(spec, 0)
-        with pytest.raises(CapabilityError):
-            max_weight_matching(spec.graph, real.reals)
+        assert max_weight_matching(spec.graph, real.reals).weight == 15.0
 
-    def test_enumerate_cap(self):
-        # past the DP vertex cap, general graphs are enumerated up to 24 edges
-        within = path_graph(25, DistSpec.point_mass(1.0))
-        real = draw_realization(within, 0)
-        assert max_weight_matching(within.graph, real.reals).weight == 12.0
-        beyond = path_graph(26, DistSpec.point_mass(1.0))
-        real = draw_realization(beyond, 0)
-        with pytest.raises(CapabilityError):
-            max_weight_matching(beyond.graph, real.reals)
+    def test_paths_past_dp_cap(self):
+        for n, weight in ((25, 12.0), (26, 13.0)):
+            spec = path_graph(n, DistSpec.point_mass(1.0))
+            real = draw_realization(spec, 0)
+            assert max_weight_matching(spec.graph, real.reals).weight == weight
+
+    def test_complete_40(self):
+        spec = complete_graph(40, DistSpec.uniform(0, 1))
+        real = draw_realization(spec, 5)
+        opt = max_weight_matching(spec.graph, real.reals)
+        assert validate_matching(spec.graph, opt)
+        # positive values on an even complete graph: every optimum is perfect
+        assert len(opt.edges) == 20
+        assert opt.weight >= greedy_matching(spec.graph, real.reals).weight
+
+
+def test_networkx_loaded_only_past_dp_cap():
+    # importing networkx costs about 130 ms and 10 MB, which every run of the
+    # package would pay if it were imported with the package
+    code = (
+        "import sys\n"
+        "import prophet_matching\n"
+        "assert 'networkx' not in sys.modules\n"
+        "from prophet_matching.distributions import DistSpec, draw_realization\n"
+        "from prophet_matching.instances import complete_graph\n"
+        "from prophet_matching.oracle import max_weight_matching\n"
+        "spec = complete_graph(12, DistSpec.uniform(0, 1))\n"
+        "max_weight_matching(spec.graph, draw_realization(spec, 0).reals)\n"
+        "assert 'networkx' not in sys.modules\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

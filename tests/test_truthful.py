@@ -72,7 +72,7 @@ class TestMechanismBasics:
         real = realization(samples=[(5, 10)], reals=[(7, 20)])
         with pytest.raises(InputError):
             run_truthful(spec, real, [0], reports={0: {5: 1.0}})
-        for bad in (-2.0, math.nan, math.inf):
+        for bad in (-2.0, math.nan, math.inf, "x", None):
             with pytest.raises(InputError):
                 run_truthful(spec, real, [0], reports={0: {0: bad}})
         with pytest.raises(InputError):
