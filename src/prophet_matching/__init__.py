@@ -21,7 +21,6 @@ from .core import (
     PriceTable,
     Realization,
     RunRecord,
-    beats,
     validate_matching,
 )
 from .distributions import DistSpec, InstanceSpec, draw_realization

@@ -35,6 +35,8 @@ class OrderStrategy:
     def __post_init__(self):
         if self.kind not in ("fixed", "random", "dec", "inc", "adaptive"):
             raise InputError(f"unknown order kind {self.kind!r}")
+        if self.seed is not None and self.seed < 0:
+            raise InputError("order seed must be a non-negative integer")
         if self.kind == "fixed" and self.order is None:
             raise InputError("fixed order needs an explicit permutation")
         if self.kind == "adaptive" and self.policy not in ADAPTIVE_POLICIES:
@@ -76,9 +78,11 @@ def static_order(
 ) -> list[int]:
     """Materialize a non-adaptive strategy into an explicit arrival order.
 
-    For edge arrivals the inc/dec kinds sort edges by real value; for buyer
-    arrivals they sort buyers by their largest incident real value.  The
-    random kind uses the strategy's own seed when set, else ``seed``.
+    For edge arrivals the inc/dec kinds sort edges by the rank of their real
+    draw; for buyer arrivals they sort buyers by their best incident real
+    draw, and a buyer without edges sorts like a zero value with key 0: after
+    every positive draw, before every zero one.  The random kind uses the
+    strategy's own seed when set, else ``seed``.
     """
     if strategy.kind == "adaptive":
         raise InputError("adaptive strategies cannot be materialized statically")
@@ -93,18 +97,16 @@ def static_order(
             np.random.SeedSequence([strategy.seed if strategy.seed is not None else seed])
         )
         return [elements[k] for k in rng.permutation(len(elements))]
-    # value-sorted orders; rank by the same total order used everywhere
     if model == "edge":
-        keyed = sorted(elements, key=lambda e: real.reals[e].sort_key())
+        keyed = real.edge_order(1)
     else:
-        def buyer_key(i):
-            best = min(
-                (real.reals[e].sort_key() for e in graph.incident[i]),
-                default=(0.0, 0),
-            )
-            return best
-
-        keyed = sorted(elements, key=buyer_key)
+        m, rank = real.num_edges, real.rank
+        # a buyer without edges ranks like a draw of value 0 with key 0
+        zero_rank = sum(d.value > 0 for d in real.samples + real.reals) - 0.5
+        keyed = sorted(
+            elements,
+            key=lambda i: min((rank[m + e] for e in graph.incident[i]), default=zero_rank),
+        )
     return keyed if strategy.kind == "dec" else keyed[::-1]
 
 
@@ -125,12 +127,12 @@ class BlockBestController:
 
     def next_arrival(self, view: AlgorithmView) -> int:
         graph, real = self._graph, self._real
-        prices = view.prices
+        prices, m = view.prices, graph.num_edges
         feasible = [
             e
             for e in self._remaining
-            if prices.beaten_by(real.reals[e], graph.edges[e][0])
-            and prices.beaten_by(real.reals[e], graph.edges[e][1])
+            if prices.beaten_by(m + e, graph.edges[e][0])
+            and prices.beaten_by(m + e, graph.edges[e][1])
         ]
         acceptable = [
             e
@@ -170,15 +172,15 @@ class StarveItemsController:
         self._remaining = set(graph.buyers)
 
     def _best_item(self, buyer: int, view: AlgorithmView) -> int | None:
-        graph, real = self._graph, self._real
+        graph, rank = self._graph, self._real.rank
+        m = graph.num_edges
         best = None
         for e in graph.incident[buyer]:
             _, j = graph.buyer_item(e)
             if j in view.matched_vertices:
                 continue
-            r = real.reals[e]
-            if view.prices.beaten_by(r, buyer) and view.prices.beaten_by(r, j):
-                if best is None or r.sort_key() < real.reals[best].sort_key():
+            if view.prices.beaten_by(m + e, buyer) and view.prices.beaten_by(m + e, j):
+                if best is None or rank[m + e] < rank[m + best]:
                     best = e
         if best is None:
             return None

@@ -1,18 +1,21 @@
 """Shared domain types: graphs, drawn values, matchings, prices, run records.
 
 Every algorithm in this package compares edge values under one strict total
-order: first by numeric value, then by a per-draw tie-break key.  Keeping the
-key attached to each draw (and to each price, via the sample draw that set it)
-is what makes the online runs and their offline twins agree edge-for-edge even
-when values collide.
+order: first by numeric value, then by a per-draw tie-break key.  A
+realization sorts its 2m draws by it once, and every comparison after that is
+one of two integer ranks (``Realization.rank``).  Prices remember the draw id
+of the sample that set them, which is what makes the online runs and their
+offline twins agree edge-for-edge even when values collide.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 
 class InputError(ValueError):
@@ -29,31 +32,16 @@ class ContractViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class DrawnValue:
-    """A sampled number plus a unique tie-break key.
+    """A sampled number plus a unique 64-bit tie-break key.
 
-    Two draws never compare equal: ties in ``value`` are resolved by the key,
-    smaller key ranking first (i.e. winning).  Keys are drawn uniformly at
-    random when a realization is built, so the induced order on equal values
-    is a uniformly random permutation.
+    Draws are ordered only through ``Realization.rank``: ties in ``value`` are
+    resolved by the key, smaller key ranking first (i.e. winning).  Keys are
+    drawn uniformly at random when a realization is built, so the induced
+    order on equal values is a uniformly random permutation.
     """
 
     value: float
     tiebreak: int
-
-    def sort_key(self) -> tuple[float, int]:
-        """Key for sorting draws in decreasing rank order."""
-        return (-self.value, self.tiebreak)
-
-
-def beats(a: DrawnValue, b: DrawnValue) -> bool:
-    """True iff ``a`` ranks strictly above ``b`` in the total order."""
-    if a.value != b.value:
-        return a.value > b.value
-    if a.tiebreak == b.tiebreak:
-        raise ContractViolation(
-            f"two draws share tie-break key {a.tiebreak}; keys must be unique"
-        )
-    return a.tiebreak < b.tiebreak
 
 
 @dataclass(frozen=True)
@@ -127,26 +115,48 @@ class Graph:
 class Realization:
     """One joint draw: a sample and a real value for every edge.
 
-    All 2m tie-break keys are globally unique, so the scan order over the
-    pooled draws is a strict total order.
+    Edge e's sample is draw e and its real value is draw m+e.  The 2m keys are
+    unique, so sorting the draws once by ``(-value, key)`` is a strict total
+    order: ``order`` lists the draw ids from best to worst and ``rank[d]`` is
+    draw d's place in it, so "draw a outranks draw b" is ``rank[a] < rank[b]``.
     """
 
     samples: tuple[DrawnValue, ...]
     reals: tuple[DrawnValue, ...]
+    order: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    rank: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.samples) != len(self.reals):
             raise InputError("samples and reals must cover the same edges")
-        keys = [d.tiebreak for d in self.samples] + [d.tiebreak for d in self.reals]
-        if len(set(keys)) != len(keys):
+        draws = self.samples + self.reals
+        n = len(draws)
+        try:
+            keys = np.fromiter([d.tiebreak for d in draws], np.uint64, n)
+        except OverflowError:
+            raise InputError("tie-break keys must be 64-bit unsigned integers") from None
+        values = np.fromiter([d.value for d in draws], np.float64, n)
+        by_key = keys.argsort()
+        sorted_keys = keys[by_key]
+        if np.count_nonzero(sorted_keys[1:] == sorted_keys[:-1]):
             raise ContractViolation("tie-break keys are not globally unique")
-        for d in self.samples + self.reals:
-            if not 0 <= d.value < math.inf:  # also false for NaN
-                raise InputError(f"drawn value {d.value} is negative or not finite")
+        # a stable sort by value keeps equal values in key order
+        order = by_key[(-values[by_key]).argsort(kind="stable")]
+        # that sort puts +inf first, and negative values and NaN last
+        for d in order[:1].tolist() + order[-1:].tolist():
+            if not 0 <= values[d] < math.inf:
+                raise InputError(f"drawn value {values[d]} is negative or not finite")
+        object.__setattr__(self, "order", tuple(order.tolist()))
+        object.__setattr__(self, "rank", tuple(order.argsort().tolist()))
 
     @property
     def num_edges(self) -> int:
         return len(self.samples)
+
+    def edge_order(self, copy: int) -> list[int]:
+        """Edge ids from best to worst by their sample (copy 0) or real (copy 1) draw."""
+        lo, hi = copy * self.num_edges, (copy + 1) * self.num_edges
+        return [d - lo for d in self.order if lo <= d < hi]
 
 
 def matching_weight(edge_ids: Iterable[int], values: Sequence[DrawnValue]) -> float:
@@ -195,32 +205,28 @@ def validate_matching(graph: Graph, matching: Matching) -> bool:
 class PriceTable:
     """Vertex thresholds derived from a matching on the sample graph.
 
-    Each matched vertex remembers the sample draw that priced it, so that a
-    real value tied with the price is still ordered strictly (by key).
+    Each matched vertex remembers the draw id of the sample that priced it,
+    so a real value tied with the price is still ordered strictly (by rank).
     Vertices absent from the table have price 0 and are beaten by every draw.
     """
 
-    origins: Mapping[int, DrawnValue]
+    real: Realization = field(repr=False)
+    origins: Mapping[int, int]
 
     def price(self, vertex: int) -> float:
         origin = self.origins.get(vertex)
-        return 0.0 if origin is None else origin.value
+        return 0.0 if origin is None else self.real.samples[origin].value
 
-    def beaten_by(self, draw: DrawnValue, vertex: int) -> bool:
-        """Does ``draw`` rank strictly above this vertex's threshold?"""
+    def beaten_by(self, draw: int, vertex: int) -> bool:
+        """Does draw id ``draw`` rank strictly above this vertex's threshold?"""
         origin = self.origins.get(vertex)
-        return True if origin is None else beats(draw, origin)
+        return origin is None or self.real.rank[draw] < self.real.rank[origin]
 
     @classmethod
-    def from_matching(
-        cls, graph: Graph, matching: Matching, samples: Sequence[DrawnValue]
-    ) -> "PriceTable":
-        origins: dict[int, DrawnValue] = {}
-        for eid in matching.edges:
-            u, v = graph.edges[eid]
-            origins[u] = samples[eid]
-            origins[v] = samples[eid]
-        return cls(origins=origins)
+    def from_matching(cls, graph: Graph, matching: Matching, real: Realization) -> "PriceTable":
+        # edge e's sample is draw e, so each matched vertex maps to its edge id
+        origins = {x: eid for eid in matching.edges for x in graph.edges[eid]}
+        return cls(real=real, origins=origins)
 
 
 @dataclass(frozen=True)

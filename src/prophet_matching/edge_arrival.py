@@ -2,17 +2,20 @@
 
 The online algorithm prices every vertex with its incident edge weight in a
 greedy matching on the sample values, then accepts an arriving edge iff its
-real value beats both endpoint prices and both endpoints are still free.
-Its arrival loop is the one the vertex-arrival algorithm and the truthful
-mechanism run too; each model supplies only the edge an arrival acts on.
+real value outranks both endpoint prices and both endpoints are still free.
+Every comparison is one of two integer ranks from ``Realization.rank``: draw
+e is edge e's sample and draw m+e its real value, and a price is the draw id
+of the sample that set it.  The arrival loop is the one the vertex-arrival
+algorithm and the truthful mechanism run too; each model supplies only the
+edge an arrival acts on.
 
 The offline twin replays the same outcome as a single greedy-style scan over
-all 2m draws (both copies of every edge) in decreasing rank order, routing
-each edge's first considered copy to either the feasible set or the sample
-matching by a coin.  With the coupling coin convention (heads exactly when
-the first considered copy is the edge's real draw) the two produce identical
-feasible sets, sample matchings, and output matchings realization by
-realization, which is the strongest correctness check in the test suite.
+all 2m draws (both copies of every edge) in the realization's ``order``,
+routing each edge's first considered copy to either the feasible set or the
+sample matching by a coin.  With the coupling coin convention (heads exactly
+when the first considered copy is the edge's real draw) the two produce
+identical feasible sets, sample matchings, and output matchings realization
+by realization, which is the strongest correctness check in the test suite.
 """
 
 from __future__ import annotations
@@ -25,14 +28,12 @@ from .core import (
     AlgorithmView,
     ArrivalEvent,
     ContractViolation,
-    DrawnValue,
     Graph,
     InputError,
     Matching,
     PriceTable,
     Realization,
     RunRecord,
-    beats,
     matching_weight,
 )
 from .distributions import InstanceSpec, draw_realization
@@ -61,11 +62,10 @@ def _effective_labels(real: Realization, coins: Callable[[int], bool] | None) ->
     """
     if coins is None:
         return real
-    samples = list(real.samples)
-    reals = list(real.reals)
-    for e in range(real.num_edges):
-        larger_is_real = beats(reals[e], samples[e])
-        if coins(e) != larger_is_real:
+    m = real.num_edges
+    samples, reals = list(real.samples), list(real.reals)
+    for e in range(m):
+        if coins(e) != (real.rank[m + e] < real.rank[e]):  # is the larger copy real?
             samples[e], reals[e] = reals[e], samples[e]
     return Realization(samples=tuple(samples), reals=tuple(reals))
 
@@ -77,9 +77,9 @@ def _drive_arrivals(spec: InstanceSpec, real: Realization, order, elements, noun
     ``elements`` (edge or buyer ids) in ``order``: a permutation of them, or
     a controller whose ``next_arrival(view)`` picks each next arrival.  For
     every arrival ``choose(element, prices, matched)`` names the edge acted
-    on, or None, and whether its real value beats both endpoint prices.  A
-    price-beating edge joins the feasible set, and the matching too if both
-    endpoints are still free.
+    on, or None, and whether its real value outranks both endpoint prices.
+    An edge that clears both prices joins the feasible set, and the matching
+    too if both endpoints are still free.
     """
     graph = spec.graph
     if real.num_edges != graph.num_edges:
@@ -88,8 +88,8 @@ def _drive_arrivals(spec: InstanceSpec, real: Realization, order, elements, noun
     if controller is None:
         seq = _check_order(order, elements, noun)
     allowed = set(elements)
-    sample_matching = greedy_matching(graph, real.samples)
-    prices = PriceTable.from_matching(graph, sample_matching, real.samples)
+    sample_matching = greedy_matching(graph, real.edge_order(0), real.samples)
+    prices = PriceTable.from_matching(graph, sample_matching, real)
 
     matched: set[int] = set()
     accepted: list[int] = []
@@ -117,12 +117,12 @@ def _drive_arrivals(spec: InstanceSpec, real: Realization, order, elements, noun
             if x in arrived:
                 raise ContractViolation(f"controller released {noun} {x} twice")
         arrived.add(x)
-        e, beats_prices = choose(x, prices, matched)
+        e, clears_prices = choose(x, prices, matched)
         if e is None:
             events.append(ArrivalEvent(step=step, element=x, outcome="no_feasible_edge"))
             continue
         u, v = graph.edges[e]
-        if not beats_prices:
+        if not clears_prices:
             outcome = "price_rejected"
         else:
             feasible.append(e)
@@ -160,11 +160,11 @@ def run_online_edge(spec: InstanceSpec, real: Realization, order) -> RunRecord:
     Acceptance decisions are immediate and irrevocable.
     """
     graph = spec.graph
+    m = graph.num_edges
 
     def choose(e, prices, matched):
         u, v = graph.edges[e]
-        r = real.reals[e]
-        return e, prices.beaten_by(r, u) and prices.beaten_by(r, v)
+        return e, prices.beaten_by(m + e, u) and prices.beaten_by(m + e, v)
 
     return _drive_arrivals(spec, real, order, range(graph.num_edges), "edge", choose)
 
@@ -194,7 +194,7 @@ def _compute_safe(
     feasible: frozenset[int],
     considered_vertices: frozenset[int],
     first_edge: Mapping[int, int],
-    reals: Sequence[DrawnValue],
+    real_rank: Sequence[int],
 ) -> frozenset[int]:
     out = []
     for v in considered_vertices:
@@ -205,9 +205,8 @@ def _compute_safe(
         u = b if a == v else a
         if any(e2 in feasible and e2 != e for e2 in graph.incident[v]):
             continue
-        lead = reals[e]
         if any(
-            e2 in feasible and e2 != e and beats(lead, reals[e2])
+            e2 in feasible and e2 != e and real_rank[e] < real_rank[e2]
             for e2 in graph.incident[u]
         ):
             continue
@@ -224,7 +223,7 @@ def run_offline_edge(
     order,
     coins: Callable[[int], bool] | None = None,
 ) -> EdgeArrivalTrace:
-    """Run the offline twin: one decreasing scan over all 2m draws.
+    """Run the offline twin: one scan over all 2m draws, from best to worst.
 
     A draw is considered when its edge is untouched and both endpoints are
     still active.  The edge's coin then routes it: heads declares the draw
@@ -241,12 +240,6 @@ def run_offline_edge(
     seq = _check_order(order, range(m), "edge")
     eff = _effective_labels(real, coins)
 
-    draws = []
-    for e in range(m):
-        draws.append((eff.samples[e].sort_key(), e, False))
-        draws.append((eff.reals[e].sort_key(), e, True))
-    draws.sort()
-
     state = [_FREE] * m
     active = set(range(graph.num_vertices))
     feasible: list[int] = []
@@ -254,7 +247,8 @@ def run_offline_edge(
     considered: list[int] = []
     first_edge: dict[int, int] = {}
     coin_flips: list[tuple[int, bool]] = []
-    for _, e, is_real in draws:
+    for d in eff.order:
+        e, is_real = d % m, d >= m
         u, v = graph.edges[e]
         if state[e] == _FREE and u in active and v in active:
             coin_flips.append((e, is_real))
@@ -289,7 +283,7 @@ def run_offline_edge(
         sample_matching=sample_matching,
         feasible=tuple(feasible),
         feasible_weight=matching_weight(feasible, eff.reals),
-        prices=PriceTable.from_matching(graph, sample_matching, eff.samples),
+        prices=PriceTable.from_matching(graph, sample_matching, eff),
     )
     considered_vertices = frozenset(first_edge)
     return EdgeArrivalTrace(
@@ -298,7 +292,7 @@ def run_offline_edge(
         considered=tuple(considered),
         considered_vertices=considered_vertices,
         first_edge=first_edge,
-        safe=_compute_safe(graph, feas_set, considered_vertices, first_edge, eff.reals),
+        safe=_compute_safe(graph, feas_set, considered_vertices, first_edge, eff.rank[m:]),
         coin_flips=tuple(coin_flips),
     )
 

@@ -43,6 +43,8 @@ class ExperimentConfig:
             raise InputError(f"unknown model {self.model!r}")
         if self.trials < 1:
             raise InputError("trials must be at least 1")
+        if self.master_seed < 0:
+            raise InputError("master_seed must be a non-negative integer")
         if self.model in ("vertex", "truthful") and self.instance.graph.kind != "bipartite":
             raise CapabilityError(f"model {self.model!r} requires a bipartite instance")
 
@@ -81,6 +83,8 @@ class RatioEstimate:
 
 def trial_seed(master_seed: int, trial: int) -> int:
     """Per-trial realization seed derived from the master seed."""
+    if master_seed < 0 or trial < 0:
+        raise InputError("seeds and trial indices must be non-negative integers")
     return int(np.random.SeedSequence([master_seed, trial]).generate_state(1, np.uint64)[0])
 
 
@@ -167,7 +171,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialRow:
     _, record = _online_trial(config.strategy, config.model, spec, real, seed)
     safe_weight = None
     if config.model == "vertex":
-        safe_weight = build_safe_matching(spec.graph, record.feasible, real.reals).weight
+        safe_weight = build_safe_matching(spec.graph, record.feasible, real).weight
     opt = max_weight_matching(spec.graph, real.reals)
     return TrialRow(
         trial=trial,

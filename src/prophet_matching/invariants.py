@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .adversary import OrderStrategy
-from .core import Graph, validate_matching
+from .core import Graph, InputError, validate_matching
 from .distributions import DistSpec, InstanceSpec, _edge_words, draw_realization
 from .edge_arrival import _records_agree, run_offline_edge, run_online_edge
 from .instances import (
@@ -271,8 +271,8 @@ def check_greedy_two_approx(instances: int = 500, seed: int = 103) -> InvariantR
     for _ in range(instances):
         spec = random_small_instance(rng)
         real = draw_realization(spec, int(rng.integers(0, 2**63)))
-        for values in (real.samples, real.reals):
-            greedy = greedy_matching(spec.graph, values)
+        for copy, values in enumerate((real.samples, real.reals)):
+            greedy = greedy_matching(spec.graph, real.edge_order(copy), values)
             opt = max_weight_matching(spec.graph, values)
             slack = 2.0 * greedy.weight - opt.weight
             min_slack = min(min_slack, slack)
@@ -684,6 +684,10 @@ class SuiteConfig:
     maximality_runs: int = 1000
     point_mass_trials: int = 10_000
     chain_dists: tuple[str, ...] = ("uniform", "pareto", "bernoulli")
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise InputError("suite seed must be a non-negative integer")
 
     @classmethod
     def quick(cls) -> "SuiteConfig":

@@ -1,7 +1,9 @@
 """Offline baselines: greedy matching and exact maximum-weight matching.
 
 The greedy scan is shared by every online algorithm in this package for
-building sample prices, so tie handling is identical everywhere.  The exact
+building sample prices.  It scans a given edge order, which callers take from
+the realization's rank (``Realization.edge_order``), so tie handling is the
+one strict total order everywhere and no sort happens here.  The exact
 solver is the reference the Monte Carlo harness measures against; it takes
 one of three paths by graph kind and size: the assignment solver for
 bipartite graphs, subset DP for general graphs of at most 12 vertices, and
@@ -11,44 +13,38 @@ Edmonds' blossom algorithm for larger general graphs.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .core import DrawnValue, Graph, InputError, Matching
 
-# Subset DP beats blossom up to 12 vertices and loses from 14 on (µs per
+# Subset DP is faster than blossom up to 12 vertices, slower from 14 on (µs per
 # call on 2 cores: K12 1,018 vs 1,429, K14 2,673 vs 2,126, K20 128,133 vs
 # 8,203); every graph of the certification gate has at most 9 vertices.
 DP_VERTEX_CAP = 12
 
 
 def _as_value_list(graph: Graph, values) -> list[DrawnValue]:
-    """Normalize a value map/sequence to a list indexed by edge id."""
-    m = graph.num_edges
-    if isinstance(values, Mapping):
-        out = []
-        for eid in range(m):
-            if eid not in values:
-                raise InputError(f"missing value for edge {eid}")
-            out.append(values[eid])
-        return out
+    """The values of a sequence indexed by edge id, as a list."""
     values = list(values)
-    if len(values) != m:
-        raise InputError(f"need {m} edge values, got {len(values)}")
+    if len(values) != graph.num_edges:
+        raise InputError(f"need {graph.num_edges} edge values, got {len(values)}")
     return values
 
 
-def greedy_matching(graph: Graph, values) -> Matching:
-    """Scan edges in decreasing rank order, keeping those with both endpoints free.
+def greedy_matching(graph: Graph, order: Sequence[int], values) -> Matching:
+    """Scan edge ids in ``order``, keeping those with both endpoints free.
 
-    The result is a maximal matching and a 2-approximation of the maximum
-    weight matching.  The scan order comes only from the values' total order,
-    never from the edge list order.
+    With ``order`` from best to worst value (``Realization.edge_order``) the
+    result is a maximal matching and a 2-approximation of the maximum weight
+    matching, and its scan order comes only from the values' total order,
+    never from the edge list order.  ``values`` only weigh the result.
     """
     vals = _as_value_list(graph, values)
-    order = sorted(range(graph.num_edges), key=lambda e: vals[e].sort_key())
+    if sorted(order) != list(range(graph.num_edges)):
+        raise InputError("greedy order must be a permutation of the edge ids")
     used: set[int] = set()
     chosen: list[int] = []
     for eid in order:

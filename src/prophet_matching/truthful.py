@@ -12,20 +12,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
 
-from .core import (
-    DrawnValue,
-    Graph,
-    InputError,
-    Matching,
-    Realization,
-    RunRecord,
-    beats,
-)
+from .core import Graph, InputError, Matching, Realization, RunRecord
 from .distributions import InstanceSpec
 from .edge_arrival import _drive_arrivals
 from .vertex_arrival import _require_bipartite
@@ -56,9 +48,10 @@ def run_truthful(
     ``reports`` optionally overrides, per buyer, the values she claims for her
     incident edges (edge id -> reported value); buyers absent from the map
     report truthfully.  Item selection uses reported values; payments and the
-    returned utilities always use true values.  A reported value inherits the
-    true draw's tie-break key, so reporting the truth is literally identical
-    to not reporting at all.
+    returned utilities always use true values.  The reports form a claimed
+    realization: the same draws with the reported real values, each keeping
+    the true draw's tie-break key, ranked within itself.  Reporting the truth
+    is therefore literally identical to not reporting at all.
     """
     graph = spec.graph
     _require_bipartite(graph)
@@ -71,27 +64,34 @@ def run_truthful(
                 raise InputError(f"buyer {i} reported a value for non-incident edge {e}")
             if not (isinstance(rep[e], numbers.Real) and 0 <= rep[e] < math.inf):  # NaN fails too
                 raise InputError("reported values must be non-negative finite numbers")
+    claimed = real
+    if reports:
+        reals = list(real.reals)
+        for rep in reports.values():
+            for e, value in rep.items():
+                reals[e] = replace(reals[e], value=float(value))
+        claimed = Realization(samples=real.samples, reals=tuple(reals))
+    m, rank = graph.num_edges, claimed.rank
 
     def choose(i, prices, matched):
-        rep = reports.get(i, {})
         best_edge = None
         best_surplus = None
-        best_claim = None
         for e in graph.incident[i]:
             _, j = graph.buyer_item(e)
             if j in matched:
                 continue
-            claim = DrawnValue(float(rep.get(e, real.reals[e].value)), real.reals[e].tiebreak)
-            if not (prices.beaten_by(claim, i) and prices.beaten_by(claim, j)):
+            # prices hold sample draw ids, and the claimed realization keeps the samples
+            priced_by = (prices.origins.get(i), prices.origins.get(j))
+            if not all(o is None or rank[m + e] < rank[o] for o in priced_by):
                 continue
             offered = max(prices.price(i), prices.price(j))
-            surplus = claim.value - offered
+            surplus = claimed.reals[e].value - offered
             if (
                 best_edge is None
                 or surplus > best_surplus
-                or (surplus == best_surplus and beats(claim, best_claim))
+                or (surplus == best_surplus and rank[m + e] < rank[m + best_edge])
             ):
-                best_edge, best_surplus, best_claim = e, surplus, claim
+                best_edge, best_surplus = e, surplus
         return best_edge, True
 
     # the buyer picks among free items only, so every chosen edge is accepted

@@ -3,10 +3,10 @@
 Items are fixed; buyers arrive one by one with all their incident real values
 revealed at once.  Prices on both sides come from the greedy matching on the
 sample values.  An arriving buyer contributes at most one edge to the
-feasible set: the highest-ranked incident edge beating both its buyer price
-and its item price.  That edge joins the matching iff its item is still free.
+feasible set: the highest-ranked incident edge that clears both its buyer
+price and its item price.  That edge joins the matching iff its item is free.
 
-The offline twin scans all 2m draws in decreasing rank order, keeping three
+The offline twin scans all 2m draws from best to worst, keeping three
 pools: buyers still open for a feasible edge, buyers still open on the sample
 side, and items still open on the sample side.  Under the coupling coin
 convention it reproduces the online run exactly, realization by realization.
@@ -19,7 +19,6 @@ from typing import Callable, Sequence
 
 from .core import (
     CapabilityError,
-    DrawnValue,
     Graph,
     Matching,
     PriceTable,
@@ -43,14 +42,14 @@ def run_online_vertex(spec: InstanceSpec, real: Realization, order) -> RunRecord
     """
     graph = spec.graph
     _require_bipartite(graph)
+    m, rank = graph.num_edges, real.rank
 
     def choose(i, prices, matched):
         best = None
         for e in graph.incident[i]:
-            r = real.reals[e]
             _, j = graph.buyer_item(e)
-            if prices.beaten_by(r, i) and prices.beaten_by(r, j):
-                if best is None or r.sort_key() < real.reals[best].sort_key():
+            if prices.beaten_by(m + e, i) and prices.beaten_by(m + e, j):
+                if best is None or rank[m + e] < rank[m + best]:
                     best = e
         return best, True
 
@@ -73,9 +72,7 @@ class VertexArrivalTrace:
     open_items: frozenset[int]
 
 
-def build_safe_matching(
-    graph: Graph, feasible: Sequence[int], reals: Sequence[DrawnValue]
-) -> Matching:
+def build_safe_matching(graph: Graph, feasible: Sequence[int], real: Realization) -> Matching:
     """Keep, per item, the highest-ranked edge of a feasible set.
 
     Buyers appear at most once in the feasible set, so the result is a valid
@@ -83,13 +80,14 @@ def build_safe_matching(
     online run's feasible set gives the twin's safe matching (they are equal
     under the coupling).
     """
+    m, rank = real.num_edges, real.rank
     best_for_item: dict[int, int] = {}
     for e in feasible:
         _, j = graph.buyer_item(e)
         cur = best_for_item.get(j)
-        if cur is None or reals[e].sort_key() < reals[cur].sort_key():
+        if cur is None or rank[m + e] < rank[m + cur]:
             best_for_item[j] = e
-    return Matching.from_edges(best_for_item.values(), reals)
+    return Matching.from_edges(best_for_item.values(), real.reals)
 
 
 def run_offline_vertex(
@@ -100,7 +98,7 @@ def run_offline_vertex(
 ) -> VertexArrivalTrace:
     """Run the offline twin of the vertex-arrival algorithm.
 
-    Scans all 2m draws in decreasing rank order; each edge's coin names
+    Scans all 2m draws from best to worst; each edge's coin names
     which of its copies is real-designated.  A real-designated copy joins the
     feasible set if its buyer has no feasible edge yet, is unmatched on the
     sample side, and its item is still open; its buyer then leaves the
@@ -115,18 +113,14 @@ def run_offline_vertex(
     seq = _check_order(order, graph.buyers, "buyer")
     eff = _effective_labels(real, coins)
 
-    draws = []
-    for e in range(graph.num_edges):
-        draws.append((eff.samples[e].sort_key(), e, False))
-        draws.append((eff.reals[e].sort_key(), e, True))
-    draws.sort()
-
+    m = graph.num_edges
     open_real: set[int] = set(graph.buyers)
     open_sample: set[int] = set(graph.buyers)
     open_items: set[int] = set(graph.items)
     feasible: list[int] = []
     sample_ids: list[int] = []
-    for _, e, is_real in draws:
+    for d in eff.order:
+        e, is_real = d % m, d >= m
         i, j = graph.buyer_item(e)
         if is_real:
             if i in open_real and j in open_items:
@@ -160,11 +154,11 @@ def run_offline_vertex(
         sample_matching=sample_matching,
         feasible=tuple(feasible),
         feasible_weight=matching_weight(feasible, eff.reals),
-        prices=PriceTable.from_matching(graph, sample_matching, eff.samples),
+        prices=PriceTable.from_matching(graph, sample_matching, eff),
     )
     return VertexArrivalTrace(
         record=record,
-        safe_matching=build_safe_matching(graph, feasible, eff.reals),
+        safe_matching=build_safe_matching(graph, feasible, eff),
         open_buyers_real=frozenset(open_real),
         open_buyers_sample=frozenset(open_sample),
         open_items=frozenset(open_items),

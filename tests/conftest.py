@@ -1,7 +1,8 @@
-"""Shared test helpers: independent brute-force oracles and tiny builders.
+"""Shared test helpers: independent brute-force references and tiny builders.
 
-The brute-force matcher enumerates every subset of edges, so it shares no
-code path with the solvers under test.
+The brute-force matcher enumerates every subset of edges, and the reference
+order sorts draws by ``(-value, key)`` directly, so neither shares a code path
+with what it checks.
 """
 
 from __future__ import annotations
@@ -29,6 +30,11 @@ def brute_force_max_weight(graph: Graph, values) -> float:
             if ok:
                 best = max(best, sum(vals[e].value for e in subset))
     return best
+
+
+def reference_order(draws) -> list[int]:
+    """Indices of ``draws`` from best to worst: larger value first, then smaller key."""
+    return sorted(range(len(draws)), key=lambda d: (-draws[d].value, draws[d].tiebreak))
 
 
 def general_graph(n: int, edges) -> Graph:

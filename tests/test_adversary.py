@@ -42,6 +42,11 @@ class TestParsing:
         with pytest.raises(InputError):
             OrderStrategy(kind="whatever")
 
+    def test_negative_seed_rejected(self):
+        # numpy would only refuse it when the order is drawn
+        with pytest.raises(InputError):
+            OrderStrategy(kind="random", seed=-2)
+
 
 def _three_path():
     spec = InstanceSpec(
@@ -80,6 +85,21 @@ class TestStaticOrders:
         assert dec == [0, 1]  # buyer 0's best is 6, buyer 1's best is 4
         inc = static_order(OrderStrategy(kind="inc"), spec.graph, real, "vertex")
         assert inc == [1, 0]
+
+    def test_buyer_without_edges_keeps_its_place(self):
+        # buyer 1 has no edges: it sorts as a zero value with key 0 would, after
+        # buyers whose best real value is positive (0 and 3) and before buyer 2,
+        # whose only real value is 0
+        graph = bipartite_graph([0, 1, 2, 3], [4, 5], [(0, 4), (2, 5), (3, 4)])
+        spec = InstanceSpec(graph=graph, dists=(DistSpec.uniform(0, 10),) * 3)
+        real = realization(
+            samples=[(2, 11), (0, 12), (5, 13)],
+            reals=[(3, 21), (0, 22), (1, 23)],
+        )
+        dec = static_order(OrderStrategy(kind="dec"), spec.graph, real, "vertex")
+        assert dec == [0, 3, 1, 2]
+        inc = static_order(OrderStrategy(kind="inc"), spec.graph, real, "vertex")
+        assert inc == [2, 1, 3, 0]
 
     def test_fixed_must_be_permutation(self):
         spec, real = _three_path()

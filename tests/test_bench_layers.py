@@ -1,10 +1,11 @@
-"""The benchmark's span tracer names library functions by string; keep them real.
+"""What the benchmark reads of the library; keep it real.
 
 ``perfbench/spans.py`` lists the traced layers as ``"<module>.<function>"``
 (check layers of the bound matrix carry the model as a third part) and
-patches each function in the namespaces of its calling modules.  A refactor
-that renames or deletes a traced function should fail here, not in a
-benchmark run.
+patches each function in the namespaces of its calling modules.
+``perfbench/worker.py`` reads the real values of drawn realizations and
+expects one greedy price matching inside each online run.  A refactor that
+breaks any of this should fail here, not in a benchmark run.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from prophet_matching.harness import MODELS
+from prophet_matching import DistSpec, ExperimentConfig, complete_bipartite, draw_realization
+from prophet_matching.adversary import parse_order_spec
+from prophet_matching.harness import MODELS, estimate_ratio
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -39,3 +42,28 @@ def test_traced_layer_resolves(layer):
     # the tracer patches the function where it is called from
     callers = [importlib.import_module(f"prophet_matching.{m}") for m in SPANS.CALLER_MODULES]
     assert any(fn in vars(c).values() for c in callers), f"no caller module binds {layer}"
+
+
+def test_drawn_reals_carry_float_values():
+    real = draw_realization(complete_bipartite(2, 3, DistSpec.uniform(0.0, 1.0)), 1)
+    assert len(real.reals) == 6
+    assert all(type(d.value) is float for d in real.reals)
+
+
+@pytest.mark.parametrize("order", ["random", "adaptive:starve-items"])
+def test_traced_ratio_runs_one_greedy_inside_each_online_run(order):
+    config = ExperimentConfig(
+        instance=complete_bipartite(2, 3, DistSpec.uniform(0.0, 1.0)),
+        model="vertex",
+        strategy=parse_order_spec(order),
+        trials=7,
+        master_seed=3,
+    )
+    tracer = SPANS.Tracer("test")
+    tracer.run(estimate_ratio, config)
+    online = "vertex_arrival.run_online_vertex"
+    greedy = {
+        path: agg[0] for path, agg in tracer.paths.items() if path[-1] == "oracle.greedy_matching"
+    }
+    assert greedy and all(path[-2] == online for path in greedy)
+    assert sum(greedy.values()) == tracer.layer(online)[0] == config.trials

@@ -2,41 +2,49 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from prophet_matching.core import (
     ContractViolation,
-    DrawnValue,
     Graph,
     InputError,
     Matching,
     PriceTable,
-    beats,
     validate_matching,
 )
-from conftest import dv, general_graph, realization
+from prophet_matching.distributions import DistSpec, draw_realization
+from prophet_matching.instances import complete_bipartite, complete_graph
+from prophet_matching.invariants import random_small_instance
+from conftest import dv, general_graph, realization, reference_order
+
+
+def _sample_outranks_real(sample, real) -> bool:
+    """Does the one sample draw (draw 0) rank above the one real draw (draw 1)?"""
+    return realization(samples=[sample], reals=[real]).rank == (0, 1)
 
 
 class TestCompare:
     def test_values_differ(self):
-        assert beats(dv(5, 10), dv(3, 99))
-        assert not beats(dv(3, 99), dv(5, 10))
+        assert _sample_outranks_real((5, 10), (3, 99))
+        assert not _sample_outranks_real((3, 99), (5, 10))
 
     def test_tie_resolved_by_key(self):
         # smaller key ranks first, i.e. wins the tie
-        assert beats(dv(4, 2), dv(4, 7))
-        assert not beats(dv(4, 7), dv(4, 2))
+        assert _sample_outranks_real((4, 2), (4, 7))
+        assert not _sample_outranks_real((4, 7), (4, 2))
 
     def test_antisymmetry(self):
-        a, b = dv(1.5, 3), dv(1.5, 4)
-        assert beats(a, b)
-        assert not beats(b, a)
+        # order and rank are inverse permutations: every pair compares one way
+        real = realization(samples=[(1.5, 3), (1.5, 5)], reals=[(1.5, 4), (0.0, 1)])
+        assert real.order == (0, 2, 1, 3)
+        assert all(real.rank[d] == r for r, d in enumerate(real.order))
 
     def test_equal_keys_fatal(self):
         with pytest.raises(ContractViolation):
-            beats(dv(4, 7), dv(4, 7))
+            realization(samples=[(4, 7)], reals=[(4, 7)])
 
     @given(
         st.lists(
@@ -45,20 +53,16 @@ class TestCompare:
                 st.integers(0, 2**64 - 1),
             ),
             min_size=2,
-            max_size=30,
+            max_size=160,
             unique_by=lambda t: t[1],
         )
     )
     def test_strict_total_order(self, pairs):
-        draws = [dv(v, k) for v, k in pairs]
-        ranked = sorted(draws, key=DrawnValue.sort_key)
-        # sorting twice gives the same order, and adjacent pairs compare strictly
-        assert ranked == sorted(draws, key=DrawnValue.sort_key)
-        for a, b in zip(ranked, ranked[1:]):
-            assert beats(a, b) and not beats(b, a)
-        # transitivity along the chain implies the first beats the last
-        if len(ranked) >= 2:
-            assert beats(ranked[0], ranked[-1])
+        half = len(pairs) // 2
+        real = realization(samples=pairs[:half], reals=pairs[half : 2 * half])
+        assert list(real.order) == reference_order(real.samples + real.reals)
+        assert sorted(real.rank) == list(range(2 * half))
+        assert all(real.rank[d] == r for r, d in enumerate(real.order))
 
 
 class TestGraph:
@@ -137,28 +141,55 @@ class TestMatching:
 
 
 class TestPriceTable:
-    def test_matched_vertices_carry_the_sample_draw(self):
+    def _table(self, real_draw):
+        # one edge: its sample (draw 0) prices both endpoints, its real is draw 1
         g = general_graph(2, [(0, 1)])
-        sample = dv(5, 11)
-        m = Matching.from_edges([0], [sample])
-        table = PriceTable.from_matching(g, m, [sample])
+        real = realization(samples=[(5, 11)], reals=[real_draw])
+        return PriceTable.from_matching(g, Matching.from_edges([0], real.samples), real)
+
+    def test_matched_vertices_carry_the_sample_draw(self):
+        table = self._table((7, 12))
+        assert table.origins == {0: 0, 1: 0}
         assert table.price(0) == 5.0 == table.price(1)
-        assert table.beaten_by(dv(7, 12), 0)
-        assert not table.beaten_by(dv(3, 12), 0)
+        assert table.beaten_by(1, 0)
+        assert not self._table((3, 12)).beaten_by(1, 0)
         # an exact value tie against the price falls back to the key order
-        assert table.beaten_by(dv(5, 1), 0)
-        assert not table.beaten_by(dv(5, 99), 0)
+        assert self._table((5, 1)).beaten_by(1, 0)
+        assert not self._table((5, 99)).beaten_by(1, 0)
 
     def test_unpriced_vertex_is_beaten_by_anything(self):
-        table = PriceTable(origins={})
+        table = PriceTable(real=realization(samples=[(5, 11)], reals=[(0.0, 1)]), origins={})
         assert table.price(3) == 0.0
-        assert table.beaten_by(dv(0.0, 1), 3)  # even a zero-value draw
+        assert table.beaten_by(1, 3)  # even a zero-value draw
 
 
 class TestRealization:
     def test_duplicate_keys_fatal(self):
         with pytest.raises(ContractViolation):
             realization(samples=[(1, 5)], reals=[(2, 5)])
+
+    def test_rank_matches_reference_sort(self):
+        # about 300 drawn realizations; point masses and bernoulli values tie
+        # everywhere, uniform values almost never
+        rng = np.random.default_rng(17)
+        specs = [random_small_instance(rng) for _ in range(100)]
+        for dist in (DistSpec.point_mass(1.0), DistSpec.bernoulli_scaled(0.5, 1.0)):
+            specs += [complete_graph(5, dist), complete_bipartite(3, 4, dist)] * 25
+            specs += [complete_graph(12, dist)] * 25
+        specs += [complete_graph(12, DistSpec.uniform(0.0, 1.0))] * 50
+        for spec in specs:
+            real = draw_realization(spec, int(rng.integers(0, 2**63)))
+            ref = reference_order(real.samples + real.reals)
+            assert list(real.order) == ref
+            assert [real.rank[d] for d in ref] == list(range(len(ref)))
+            for copy in (0, 1):
+                m = real.num_edges
+                assert real.edge_order(copy) == [d - copy * m for d in ref if d // m == copy]
+
+    def test_key_must_be_64_bit_unsigned(self):
+        for bad in (-1, 2**64):
+            with pytest.raises(InputError):
+                realization(samples=[(1, 5)], reals=[(1, bad)])
 
     def test_negative_value_rejected(self):
         with pytest.raises(InputError):

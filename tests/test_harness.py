@@ -217,6 +217,17 @@ class TestEstimateRatio:
             )
 
 
+    def test_negative_master_seed(self):
+        with pytest.raises(InputError):
+            ExperimentConfig(
+                instance=complete_graph(3, DistSpec.uniform(0, 1)),
+                model="edge",
+                strategy=OrderStrategy(kind="random"),
+                trials=2,
+                master_seed=-1,
+            )
+
+
 class TestCli:
     def _gen(self, tmp_path, graph="complete:4", dist="uniform:0,1"):
         out = tmp_path / "inst.json"
@@ -257,6 +268,22 @@ class TestCli:
         assert main(["ratio", "--instance", str(missing), "--trials", "5"]) == 2
         inst = self._gen(tmp_path)
         assert main(["simulate", "--instance", str(inst), "--order", "bogus"]) == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["ratio", "--trials", "3", "--seed", "-1"],
+            ["simulate", "--seed", "-1"],
+            ["audit-truthful", "--trials", "3", "--seed", "-1"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_negative_seed_is_an_input_error(self, tmp_path, args):
+        inst = self._gen(tmp_path, graph="bipartite:2,2")
+        assert main([args[0], "--instance", str(inst), *args[1:]]) == 2
+
+    def test_verify_negative_seed_is_an_input_error(self):
+        assert main(["verify", "--quick", "--seed", "-5"]) == 2
 
     def test_capability_error_exit_code(self, tmp_path):
         inst = self._gen(tmp_path, graph="complete:6")

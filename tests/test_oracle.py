@@ -21,7 +21,7 @@ from prophet_matching.oracle import (
     max_weight_matching,
 )
 
-from conftest import bipartite_graph, brute_force_max_weight, dv, general_graph
+from conftest import bipartite_graph, brute_force_max_weight, dv, general_graph, reference_order
 
 # the gate's four value families, plus point masses: all-tied weights
 CROSSCHECK_DISTS = {**DIST_FAMILIES, "point_mass": DistSpec.point_mass(1.0)}
@@ -32,26 +32,33 @@ class TestGreedy:
         # weights 5, 3, 4 on a path: greedy takes the 5-edge, skips 3, takes 4
         g = general_graph(4, [(0, 1), (1, 2), (2, 3)])
         vals = [dv(5, 1), dv(3, 2), dv(4, 3)]
-        m = greedy_matching(g, vals)
+        m = greedy_matching(g, reference_order(vals), vals)
         assert m.edges == {0, 2}
         assert m.weight == 9.0
         assert brute_force_max_weight(g, vals) == 9.0  # greedy happens to be optimal here
 
     def test_triangle_single_edge(self):
         g = general_graph(3, [(0, 1), (1, 2), (0, 2)])
-        m = greedy_matching(g, [dv(3, 1), dv(2, 2), dv(1, 3)])
+        m = greedy_matching(g, [0, 1, 2], [dv(3, 1), dv(2, 2), dv(1, 3)])
         assert m.edges == {0}
         assert m.weight == 3.0
 
     def test_empty_graph(self):
-        m = greedy_matching(general_graph(0, []), [])
+        m = greedy_matching(general_graph(0, []), [], [])
         assert m.edges == frozenset()
         assert m.weight == 0.0
 
     def test_missing_value_rejected(self):
         g = general_graph(3, [(0, 1), (1, 2)])
         with pytest.raises(InputError):
-            greedy_matching(g, {0: dv(1, 1)})
+            greedy_matching(g, [0, 1], [dv(1, 1)])
+
+    def test_order_must_be_permutation(self):
+        # an order that skips or repeats an edge would scan a non-greedy matching
+        g = general_graph(3, [(0, 1), (1, 2)])
+        for bad in ([0], [0, 0], [1, 2], [0, 1, 1]):
+            with pytest.raises(InputError):
+                greedy_matching(g, bad, [dv(2, 1), dv(1, 2)])
 
     def test_invariant_under_edge_list_permutation(self):
         rng = np.random.default_rng(3)
@@ -59,12 +66,13 @@ class TestGreedy:
             spec = random_small_instance(rng)
             real = draw_realization(spec, int(rng.integers(0, 2**62)))
             g = spec.graph
-            m1 = greedy_matching(g, real.samples)
+            m1 = greedy_matching(g, real.edge_order(0), real.samples)
             perm = [int(x) for x in rng.permutation(g.num_edges)]
             g2 = general_graph(g.num_vertices, [g.edges[e] for e in perm]) \
                 if g.kind == "general" else bipartite_graph(
                     g.buyers, g.items, [g.edges[e] for e in perm])
-            m2 = greedy_matching(g2, [real.samples[e] for e in perm])
+            samples2 = [real.samples[e] for e in perm]
+            m2 = greedy_matching(g2, reference_order(samples2), samples2)
             pairs1 = {tuple(sorted(g.edges[e])) for e in m1.edges}
             pairs2 = {tuple(sorted(g2.edges[e])) for e in m2.edges}
             assert pairs1 == pairs2
@@ -130,7 +138,7 @@ class TestMaxWeight:
         for _ in range(60):
             spec = random_small_instance(rng)
             real = draw_realization(spec, int(rng.integers(0, 2**62)))
-            greedy = greedy_matching(spec.graph, real.reals)
+            greedy = greedy_matching(spec.graph, real.edge_order(1), real.reals)
             opt = max_weight_matching(spec.graph, real.reals)
             assert 2.0 * greedy.weight >= opt.weight
 
@@ -160,7 +168,7 @@ class TestCapabilities:
         assert validate_matching(spec.graph, opt)
         # positive values on an even complete graph: every optimum is perfect
         assert len(opt.edges) == 20
-        assert opt.weight >= greedy_matching(spec.graph, real.reals).weight
+        assert opt.weight >= greedy_matching(spec.graph, real.edge_order(1), real.reals).weight
 
 
 def test_networkx_loaded_only_past_dp_cap():

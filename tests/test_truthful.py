@@ -43,6 +43,16 @@ class TestMechanismBasics:
         assert outcome.matching.edges == frozenset()
         assert outcome.utilities[0] == 0.0
 
+    def test_report_tied_with_price_is_settled_by_true_key(self):
+        # the sample (5, key 10) prices both sides; a report of exactly 5 keeps
+        # the true draw's key, which wins the tie only if it is smaller
+        spec = _one_buyer_one_item()
+        for true_key, sold in ((5, True), (20, False)):
+            real = realization(samples=[(5, 10)], reals=[(7, true_key)])
+            outcome = run_truthful(spec, real, [0], reports={0: {0: 5.0}})
+            assert bool(outcome.matching.edges) is sold
+            assert outcome.utilities[0] == (2.0 if sold else 0.0)
+
     def test_utility_argmax_can_diverge_from_value_argmax(self):
         # buyer 0 is priced at 3; item 3 is priced 1 (value 6), item 4 is
         # priced 5 (value 7): offered prices are 3 and 5, utilities 3 and 2,

@@ -136,11 +136,11 @@ class TestSafeMatching:
         assert set(trace.record.feasible) == {0, 1}
         assert trace.safe_matching.edges == {0}
         assert trace.safe_matching.weight == 9.0
-        assert build_safe_matching(spec.graph, trace.record.feasible, real.reals) == (
+        assert build_safe_matching(spec.graph, trace.record.feasible, real) == (
             trace.safe_matching
         )
         online = run_online_vertex(spec, real, [1, 0])
-        assert build_safe_matching(spec.graph, online.feasible, real.reals) == (
+        assert build_safe_matching(spec.graph, online.feasible, real) == (
             trace.safe_matching
         )
 
