@@ -33,7 +33,7 @@ for t in range(trials):
     ms[t] = trace.record.sample_matching.weight
     safe[t] = trace.safe_matching.weight
     matched[t] = trace.record.matching.weight
-    opt[t] = max_weight_matching(spec.graph, real.reals).weight
+    opt[t] = max_weight_matching(spec.graph, real.real_values).weight
 
 print(f"K44, uniform values, {trials} trials")
 print(f"  E[w(sample matching)]   = {ms.mean():.4f}")

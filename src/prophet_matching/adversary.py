@@ -102,7 +102,7 @@ def static_order(
     else:
         m, rank = real.num_edges, real.rank
         # a buyer without edges ranks like a draw of value 0 with key 0
-        zero_rank = sum(d.value > 0 for d in real.samples + real.reals) - 0.5
+        zero_rank = int(np.count_nonzero(real.values > 0)) - 0.5
         keyed = sorted(
             elements,
             key=lambda i: min((rank[m + e] for e in graph.incident[i]), default=zero_rank),
@@ -148,12 +148,12 @@ class BlockBestController:
                 total = 0.0
                 for e2 in graph.incident[u] + graph.incident[v]:
                     if e2 != e and e2 in acc:
-                        total += real.reals[e2].value
+                        total += real.real_values[e2]
                 return total
 
             choice = max(acceptable, key=lambda e: (blocked_weight(e), -e))
         else:
-            choice = min(self._remaining, key=lambda e: (real.reals[e].value, e))
+            choice = min(self._remaining, key=lambda e: (real.real_values[e], e))
         self._remaining.remove(choice)
         return choice
 

@@ -2,10 +2,11 @@
 
 Every algorithm in this package compares edge values under one strict total
 order: first by numeric value, then by a per-draw tie-break key.  A
-realization sorts its 2m draws by it once, and every comparison after that is
-one of two integer ranks (``Realization.rank``).  Prices remember the draw id
-of the sample that set them, which is what makes the online runs and their
-offline twins agree edge-for-edge even when values collide.
+realization holds its 2m draws as a value array and a key array, sorts them
+by that order once, and every comparison after that is one of two integer
+ranks (``Realization.rank``).  Prices remember the draw id of the sample that
+set them, which is what makes the online runs and their offline twins agree
+edge-for-edge even when values collide.
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ class DrawnValue:
     Draws are ordered only through ``Realization.rank``: ties in ``value`` are
     resolved by the key, smaller key ranking first (i.e. winning).  Keys are
     drawn uniformly at random when a realization is built, so the induced
-    order on equal values is a uniformly random permutation.
+    order on equal values is a uniformly random permutation.  The library
+    itself reads the realization's arrays; this is only the per-draw view
+    ``Realization.samples`` and ``Realization.reals`` build on first use.
     """
 
     value: float
@@ -102,40 +105,63 @@ class Graph:
         return tuple(tuple(x) for x in inc)
 
     @cached_property
-    def _buyer_set(self) -> frozenset[int]:
-        return frozenset(self.buyers)
+    def buyer_items(self) -> tuple[tuple[int, int], ...]:
+        """Every edge oriented as (buyer, item), indexed by edge id."""
+        buyers = frozenset(self.buyers)
+        return tuple((u, v) if u in buyers else (v, u) for u, v in self.edges)
 
     def buyer_item(self, eid: int) -> tuple[int, int]:
         """Orient a bipartite edge as (buyer, item)."""
-        u, v = self.edges[eid]
-        return (u, v) if u in self._buyer_set else (v, u)
+        return self.buyer_items[eid]
+
+    @cached_property
+    def biadjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The buyers x items matrix layout of a bipartite graph.
+
+        Returns each edge's row (its buyer's place in ``buyers``), each edge's
+        column (its item's place in ``items``), and the edge id at every cell,
+        -1 where the graph has no edge.
+        """
+        row = {b: r for r, b in enumerate(self.buyers)}
+        col = {j: c for c, j in enumerate(self.items)}
+        rows = np.array([row[b] for b, _ in self.buyer_items], dtype=np.intp)
+        cols = np.array([col[j] for _, j in self.buyer_items], dtype=np.intp)
+        edge_at = np.full((len(self.buyers), len(self.items)), -1, dtype=np.intp)
+        edge_at[rows, cols] = np.arange(self.num_edges)
+        return rows, cols, edge_at
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Realization:
     """One joint draw: a sample and a real value for every edge.
 
-    Edge e's sample is draw e and its real value is draw m+e.  The 2m keys are
-    unique, so sorting the draws once by ``(-value, key)`` is a strict total
-    order: ``order`` lists the draw ids from best to worst and ``rank[d]`` is
-    draw d's place in it, so "draw a outranks draw b" is ``rank[a] < rank[b]``.
+    The 2m draws are two arrays indexed by draw id: ``values`` (float64) and
+    ``keys`` (uint64 tie-break keys).  Edge e's sample is draw e and its real
+    value is draw m+e.  The keys are unique, so sorting the draws once by
+    ``(-value, key)`` is a strict total order: ``order`` lists the draw ids
+    from best to worst and ``rank[d]`` is draw d's place in it, so "draw a
+    outranks draw b" is ``rank[a] < rank[b]``.
+
+    The library reads the values as Python floats, from ``sample_values``
+    and ``real_values`` (indexed by edge id).  ``samples`` and ``reals`` are
+    the same draws as ``DrawnValue`` objects, built on first use.
     """
 
-    samples: tuple[DrawnValue, ...]
-    reals: tuple[DrawnValue, ...]
-    order: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    rank: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    values: np.ndarray
+    keys: np.ndarray
+    order: tuple[int, ...] = field(init=False, repr=False)
+    rank: tuple[int, ...] = field(init=False, repr=False)
+    sample_values: tuple[float, ...] = field(init=False, repr=False)
+    real_values: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.samples) != len(self.reals):
-            raise InputError("samples and reals must cover the same edges")
-        draws = self.samples + self.reals
-        n = len(draws)
+        values = np.array(self.values, dtype=np.float64)
         try:
-            keys = np.fromiter([d.tiebreak for d in draws], np.uint64, n)
+            keys = np.array(self.keys, dtype=np.uint64)
         except OverflowError:
             raise InputError("tie-break keys must be 64-bit unsigned integers") from None
-        values = np.fromiter([d.value for d in draws], np.float64, n)
+        if values.ndim != 1 or values.shape != keys.shape or len(values) % 2:
+            raise InputError("values and keys must be 1-D, of one even length: samples, then reals")
         by_key = keys.argsort()
         sorted_keys = keys[by_key]
         if np.count_nonzero(sorted_keys[1:] == sorted_keys[:-1]):
@@ -146,20 +172,71 @@ class Realization:
         for d in order[:1].tolist() + order[-1:].tolist():
             if not 0 <= values[d] < math.inf:
                 raise InputError(f"drawn value {values[d]} is negative or not finite")
-        object.__setattr__(self, "order", tuple(order.tolist()))
-        object.__setattr__(self, "rank", tuple(order.argsort().tolist()))
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        self._fill(values, keys, order.tolist(), rank.tolist())
+
+    def _fill(self, values: np.ndarray, keys: np.ndarray, order: list[int], rank: list[int]):
+        values.setflags(write=False)
+        keys.setflags(write=False)
+        flat = values.tolist()
+        m = len(flat) // 2
+        for name, value in (
+            ("values", values),
+            ("keys", keys),
+            ("order", tuple(order)),
+            ("rank", tuple(rank)),
+            ("sample_values", tuple(flat[:m])),
+            ("real_values", tuple(flat[m:])),
+        ):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if not isinstance(other, Realization):
+            return NotImplemented
+        return np.array_equal(self.values, other.values) and np.array_equal(self.keys, other.keys)
+
+    def __hash__(self):
+        return hash((self.sample_values, self.real_values, self.keys.tobytes()))
 
     @property
     def num_edges(self) -> int:
-        return len(self.samples)
+        return len(self.sample_values)
+
+    @cached_property
+    def samples(self) -> tuple[DrawnValue, ...]:
+        """Edge e's sample draw, as a ``DrawnValue`` view."""
+        return tuple(map(DrawnValue, self.sample_values, self.keys[: self.num_edges].tolist()))
+
+    @cached_property
+    def reals(self) -> tuple[DrawnValue, ...]:
+        """Edge e's real draw, as a ``DrawnValue`` view."""
+        return tuple(map(DrawnValue, self.real_values, self.keys[self.num_edges :].tolist()))
 
     def edge_order(self, copy: int) -> list[int]:
         """Edge ids from best to worst by their sample (copy 0) or real (copy 1) draw."""
         lo, hi = copy * self.num_edges, (copy + 1) * self.num_edges
         return [d - lo for d in self.order if lo <= d < hi]
 
+    def swap_copies(self, edges: Iterable[int]) -> "Realization":
+        """This realization with the sample and real draws of ``edges`` swapped.
 
-def matching_weight(edge_ids: Iterable[int], values: Sequence[DrawnValue]) -> float:
+        Swapping edge e's two draws exchanges draw ids e and m+e and nothing
+        else, so the order and the rank are mapped through that exchange
+        instead of being sorted again.
+        """
+        m = self.num_edges
+        swap = list(range(2 * m))
+        for e in edges:
+            swap[e], swap[m + e] = m + e, e
+        out = object.__new__(Realization)
+        order = [swap[d] for d in self.order]
+        rank = [self.rank[d] for d in swap]
+        out._fill(self.values[swap], self.keys[swap], order, rank)
+        return out
+
+
+def matching_weight(edge_ids: Iterable[int], values: Sequence[float]) -> float:
     """Sum of values over edges, accumulated in edge-id order.
 
     The fixed accumulation order makes equal edge sets produce bit-identical
@@ -167,7 +244,7 @@ def matching_weight(edge_ids: Iterable[int], values: Sequence[DrawnValue]) -> fl
     """
     total = 0.0
     for eid in sorted(edge_ids):
-        total += values[eid].value
+        total += values[eid]
     return total
 
 
@@ -179,7 +256,7 @@ class Matching:
     weight: float
 
     @classmethod
-    def from_edges(cls, edge_ids: Iterable[int], values: Sequence[DrawnValue]) -> "Matching":
+    def from_edges(cls, edge_ids: Iterable[int], values: Sequence[float]) -> "Matching":
         ids = frozenset(edge_ids)
         return cls(edges=ids, weight=matching_weight(ids, values))
 
@@ -215,7 +292,7 @@ class PriceTable:
 
     def price(self, vertex: int) -> float:
         origin = self.origins.get(vertex)
-        return 0.0 if origin is None else self.real.samples[origin].value
+        return 0.0 if origin is None else self.real.sample_values[origin]
 
     def beaten_by(self, draw: int, vertex: int) -> bool:
         """Does draw id ``draw`` rank strictly above this vertex's threshold?"""

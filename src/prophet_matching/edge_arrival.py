@@ -62,12 +62,9 @@ def _effective_labels(real: Realization, coins: Callable[[int], bool] | None) ->
     """
     if coins is None:
         return real
-    m = real.num_edges
-    samples, reals = list(real.samples), list(real.reals)
-    for e in range(m):
-        if coins(e) != (real.rank[m + e] < real.rank[e]):  # is the larger copy real?
-            samples[e], reals[e] = reals[e], samples[e]
-    return Realization(samples=tuple(samples), reals=tuple(reals))
+    m, rank = real.num_edges, real.rank
+    # swap the edges whose coin disagrees with "the larger copy is real"
+    return real.swap_copies(e for e in range(m) if coins(e) != (rank[m + e] < rank[e]))
 
 
 def _drive_arrivals(spec: InstanceSpec, real: Realization, order, elements, noun: str, choose):
@@ -88,7 +85,7 @@ def _drive_arrivals(spec: InstanceSpec, real: Realization, order, elements, noun
     if controller is None:
         seq = _check_order(order, elements, noun)
     allowed = set(elements)
-    sample_matching = greedy_matching(graph, real.edge_order(0), real.samples)
+    sample_matching = greedy_matching(graph, real.edge_order(0), real.sample_values)
     prices = PriceTable.from_matching(graph, sample_matching, real)
 
     matched: set[int] = set()
@@ -138,15 +135,15 @@ def _drive_arrivals(spec: InstanceSpec, real: Realization, order, elements, noun
                 element=x,
                 outcome=outcome,
                 edge=e,
-                value=real.reals[e].value,
+                value=real.real_values[e],
                 threshold=max(prices.price(u), prices.price(v)),
             )
         )
     return RunRecord(
-        matching=Matching.from_edges(accepted, real.reals),
+        matching=Matching.from_edges(accepted, real.real_values),
         sample_matching=sample_matching,
         feasible=tuple(feasible),
-        feasible_weight=matching_weight(feasible, real.reals),
+        feasible_weight=matching_weight(feasible, real.real_values),
         prices=prices,
         events=tuple(events),
     )
@@ -277,12 +274,12 @@ def run_offline_edge(
                 accepted.append(e)
                 used.update((u, v))
 
-    sample_matching = Matching.from_edges(sample_ids, eff.samples)
+    sample_matching = Matching.from_edges(sample_ids, eff.sample_values)
     record = RunRecord(
-        matching=Matching.from_edges(accepted, eff.reals),
+        matching=Matching.from_edges(accepted, eff.real_values),
         sample_matching=sample_matching,
         feasible=tuple(feasible),
-        feasible_weight=matching_weight(feasible, eff.reals),
+        feasible_weight=matching_weight(feasible, eff.real_values),
         prices=PriceTable.from_matching(graph, sample_matching, eff),
     )
     considered_vertices = frozenset(first_edge)

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,6 +42,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.model not in MODELS:
             raise InputError(f"unknown model {self.model!r}")
+        for name in ("trials", "master_seed"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise InputError(f"{name} must be an integer") from None
         if self.trials < 1:
             raise InputError("trials must be at least 1")
         if self.master_seed < 0:
@@ -172,7 +178,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialRow:
     safe_weight = None
     if config.model == "vertex":
         safe_weight = build_safe_matching(spec.graph, record.feasible, real).weight
-    opt = max_weight_matching(spec.graph, real.reals)
+    opt = max_weight_matching(spec.graph, real.real_values)
     return TrialRow(
         trial=trial,
         seed=seed,

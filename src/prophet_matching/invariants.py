@@ -271,7 +271,7 @@ def check_greedy_two_approx(instances: int = 500, seed: int = 103) -> InvariantR
     for _ in range(instances):
         spec = random_small_instance(rng)
         real = draw_realization(spec, int(rng.integers(0, 2**63)))
-        for copy, values in enumerate((real.samples, real.reals)):
+        for copy, values in enumerate((real.sample_values, real.real_values)):
             greedy = greedy_matching(spec.graph, real.edge_order(copy), values)
             opt = max_weight_matching(spec.graph, values)
             slack = 2.0 * greedy.weight - opt.weight
@@ -321,9 +321,9 @@ def check_bound(
         real = draw_realization(spec, s)
         _, record = _online_trial(strategy, model, spec, real, s)
         alg[t] = record.matching.weight
-        opt[t] = max_weight_matching(graph, real.reals).weight
+        opt[t] = max_weight_matching(graph, real.real_values).weight
         if check_greedy:
-            opt_s = max_weight_matching(graph, real.samples).weight
+            opt_s = max_weight_matching(graph, real.sample_values).weight
             slack = 2.0 * record.sample_matching.weight - opt_s
             greedy_min_slack = min(greedy_min_slack, slack)
             if slack < 0:
@@ -409,15 +409,15 @@ def check_edge_chain(
         order = [int(x) for x in rng_orders.permutation(m)]
         trace = run_offline_edge(spec, real, order)
         feas = frozenset(trace.record.feasible)
-        reals = trace.realization.reals
+        reals = trace.realization.real_values
         lead = 0.0
         feasible_leads = 0
         for v in trace.considered_vertices:
             e = trace.first_edge[v]
             if e in feas:
-                lead += reals[e].value
+                lead += reals[e]
                 feasible_leads += 1
-        safe_val = sum(reals[trace.first_edge[v]].value for v in trace.safe)
+        safe_val = sum(reals[trace.first_edge[v]] for v in trace.safe)
         lead_sum[t] = lead
         ms_w[t] = trace.record.sample_matching.weight
         safe_sum[t] = safe_val
@@ -521,7 +521,7 @@ def check_vertex_chain(
         feas_w[t] = trace.record.feasible_weight
         safe_w[t] = trace.safe_matching.weight
         match_w[t] = trace.record.matching.weight
-        opt_w[t] = max_weight_matching(spec.graph, real.reals).weight
+        opt_w[t] = max_weight_matching(spec.graph, real.real_values).weight
         if not (
             match_w[t] <= safe_w[t] + 1e-12
             and safe_w[t] <= trace.record.feasible_weight + 1e-12

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import DrawnValue, Graph, InputError, Matching
+from .core import Graph, InputError, Matching
 
 # Subset DP is faster than blossom up to 12 vertices, slower from 14 on (µs per
 # call on 2 cores: K12 1,018 vs 1,429, K14 2,673 vs 2,126, K20 128,133 vs
@@ -26,7 +26,7 @@ from .core import DrawnValue, Graph, InputError, Matching
 DP_VERTEX_CAP = 12
 
 
-def _as_value_list(graph: Graph, values) -> list[DrawnValue]:
+def _as_value_list(graph: Graph, values: Sequence[float]) -> list[float]:
     """The values of a sequence indexed by edge id, as a list."""
     values = list(values)
     if len(values) != graph.num_edges:
@@ -34,7 +34,7 @@ def _as_value_list(graph: Graph, values) -> list[DrawnValue]:
     return values
 
 
-def greedy_matching(graph: Graph, order: Sequence[int], values) -> Matching:
+def greedy_matching(graph: Graph, order: Sequence[int], values: Sequence[float]) -> Matching:
     """Scan edge ids in ``order``, keeping those with both endpoints free.
 
     With ``order`` from best to worst value (``Realization.edge_order``) the
@@ -55,26 +55,16 @@ def greedy_matching(graph: Graph, order: Sequence[int], values) -> Matching:
     return Matching.from_edges(chosen, vals)
 
 
-def _assignment_opt(graph: Graph, vals: Sequence[DrawnValue]) -> Matching:
+def _assignment_opt(graph: Graph, vals: Sequence[float]) -> Matching:
     """Bipartite exact optimum via the rectangular assignment problem."""
-    buyers, items = graph.buyers, graph.items
-    brow = {b: i for i, b in enumerate(buyers)}
-    jcol = {j: i for i, j in enumerate(items)}
-    weight = np.zeros((len(buyers), len(items)))
-    eid_at: dict[tuple[int, int], int] = {}
-    for eid in range(graph.num_edges):
-        b, j = graph.buyer_item(eid)
-        weight[brow[b], jcol[j]] = vals[eid].value
-        eid_at[(brow[b], jcol[j])] = eid
-    if weight.size == 0:
+    rows, cols, edge_at = graph.biadjacency
+    if edge_at.size == 0:
         return Matching.empty()
-    rows, cols = linear_sum_assignment(weight, maximize=True)
-    chosen = [
-        eid_at[(r, c)]
-        for r, c in zip(rows, cols)
-        if (r, c) in eid_at  # zero cells without a real edge mean "unmatched"
-    ]
-    return Matching.from_edges(chosen, vals)
+    weight = np.zeros(edge_at.shape)
+    weight[rows, cols] = vals
+    chosen = edge_at[linear_sum_assignment(weight, maximize=True)]
+    # zero cells without a real edge (-1) mean "unmatched"
+    return Matching.from_edges(chosen[chosen >= 0].tolist(), vals)
 
 
 @lru_cache(maxsize=256)
@@ -86,14 +76,13 @@ def _adjacency(graph: Graph) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(tuple(x) for x in adj)
 
 
-def _dp_opt(graph: Graph, vals: Sequence[DrawnValue]) -> Matching:
+def _dp_opt(graph: Graph, values: Sequence[float]) -> Matching:
     """Exact optimum by dynamic programming over vertex subsets (general graphs).
 
     Top-down with memoization: only subsets reachable from the full vertex
     set are evaluated, which keeps sparse graphs far below the 2^n ceiling.
     """
     adj = _adjacency(graph)
-    values = [d.value for d in vals]
     best: dict[int, float] = {0: 0.0}
     pick: dict[int, tuple[int, int] | None] = {}
 
@@ -127,10 +116,10 @@ def _dp_opt(graph: Graph, vals: Sequence[DrawnValue]) -> Matching:
             eid, sub = choice
             chosen.append(eid)
             mask = sub
-    return Matching.from_edges(chosen, vals)
+    return Matching.from_edges(chosen, values)
 
 
-def _blossom_opt(graph: Graph, vals: Sequence[DrawnValue]) -> Matching:
+def _blossom_opt(graph: Graph, vals: Sequence[float]) -> Matching:
     """Exact optimum by Edmonds' primal-dual blossom algorithm (any graph), O(n^3).
 
     networkx is imported here, not with the module: it costs about 130 ms and
@@ -141,12 +130,12 @@ def _blossom_opt(graph: Graph, vals: Sequence[DrawnValue]) -> Matching:
 
     nxg = nx.Graph()
     for eid, (u, v) in enumerate(graph.edges):
-        nxg.add_edge(u, v, weight=vals[eid].value, eid=eid)
+        nxg.add_edge(u, v, weight=vals[eid], eid=eid)
     chosen = [nxg.edges[pair]["eid"] for pair in nx.max_weight_matching(nxg)]
     return Matching.from_edges(chosen, vals)
 
 
-def max_weight_matching(graph: Graph, values) -> Matching:
+def max_weight_matching(graph: Graph, values: Sequence[float]) -> Matching:
     """Exact maximum-weight matching of a graph of any size.
 
     Bipartite graphs use the assignment solver; general graphs use subset DP

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -64,14 +64,15 @@ def run_truthful(
                 raise InputError(f"buyer {i} reported a value for non-incident edge {e}")
             if not (isinstance(rep[e], numbers.Real) and 0 <= rep[e] < math.inf):  # NaN fails too
                 raise InputError("reported values must be non-negative finite numbers")
+    m = graph.num_edges
     claimed = real
     if reports:
-        reals = list(real.reals)
+        values = real.values.copy()
         for rep in reports.values():
             for e, value in rep.items():
-                reals[e] = replace(reals[e], value=float(value))
-        claimed = Realization(samples=real.samples, reals=tuple(reals))
-    m, rank = graph.num_edges, claimed.rank
+                values[m + e] = float(value)
+        claimed = Realization(values=values, keys=real.keys)
+    rank, claimed_values = claimed.rank, claimed.real_values
 
     def choose(i, prices, matched):
         best_edge = None
@@ -85,7 +86,7 @@ def run_truthful(
             if not all(o is None or rank[m + e] < rank[o] for o in priced_by):
                 continue
             offered = max(prices.price(i), prices.price(j))
-            surplus = claimed.reals[e].value - offered
+            surplus = claimed_values[e] - offered
             if (
                 best_edge is None
                 or surplus > best_surplus
@@ -154,7 +155,7 @@ def misreport_audit(
     """
     truthful = run_truthful(spec, real, order)
     base = truthful.utilities.get(buyer, 0.0)
-    true_values = {e: real.reals[e].value for e in spec.graph.incident[buyer]}
+    true_values = {e: real.real_values[e] for e in spec.graph.incident[buyer]}
     rng = np.random.default_rng(np.random.SeedSequence([seed, buyer]))
     for _ in range(trials):
         deviant = sample_misreport(rng, true_values)

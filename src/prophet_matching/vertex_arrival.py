@@ -87,7 +87,7 @@ def build_safe_matching(graph: Graph, feasible: Sequence[int], real: Realization
         cur = best_for_item.get(j)
         if cur is None or rank[m + e] < rank[m + cur]:
             best_for_item[j] = e
-    return Matching.from_edges(best_for_item.values(), real.reals)
+    return Matching.from_edges(best_for_item.values(), real.real_values)
 
 
 def run_offline_vertex(
@@ -148,12 +148,12 @@ def run_offline_vertex(
             accepted.append(e)
             taken.add(j)
 
-    sample_matching = Matching.from_edges(sample_ids, eff.samples)
+    sample_matching = Matching.from_edges(sample_ids, eff.sample_values)
     record = RunRecord(
-        matching=Matching.from_edges(accepted, eff.reals),
+        matching=Matching.from_edges(accepted, eff.real_values),
         sample_matching=sample_matching,
         feasible=tuple(feasible),
-        feasible_weight=matching_weight(feasible, eff.reals),
+        feasible_weight=matching_weight(feasible, eff.real_values),
         prices=PriceTable.from_matching(graph, sample_matching, eff),
     )
     return VertexArrivalTrace(

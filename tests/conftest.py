@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from prophet_matching.core import DrawnValue, Graph, Realization
+from prophet_matching.core import Graph, Realization
 
 
 def brute_force_max_weight(graph: Graph, values) -> float:
-    """Maximum matching weight by exhaustive subset enumeration (m <= ~14)."""
+    """Maximum matching weight of float edge values by exhaustive subset
+    enumeration (m <= ~14)."""
     m = graph.num_edges
     vals = [values[e] for e in range(m)]
     best = 0.0
@@ -28,7 +29,7 @@ def brute_force_max_weight(graph: Graph, values) -> float:
                     break
                 used.update((u, v))
             if ok:
-                best = max(best, sum(vals[e].value for e in subset))
+                best = max(best, sum(vals[e] for e in subset))
     return best
 
 
@@ -52,13 +53,7 @@ def bipartite_graph(buyers, items, edges) -> Graph:
     )
 
 
-def dv(value: float, key: int) -> DrawnValue:
-    return DrawnValue(float(value), key)
-
-
 def realization(samples, reals) -> Realization:
-    """Build a realization from (value, key) pairs."""
-    return Realization(
-        samples=tuple(dv(v, k) for v, k in samples),
-        reals=tuple(dv(v, k) for v, k in reals),
-    )
+    """Build a realization from (value, key) pairs: the samples, then the reals."""
+    draws = list(samples) + list(reals)
+    return Realization(values=[float(v) for v, _ in draws], keys=[k for _, k in draws])

@@ -13,12 +13,13 @@ from prophet_matching.core import (
     InputError,
     Matching,
     PriceTable,
+    Realization,
     validate_matching,
 )
 from prophet_matching.distributions import DistSpec, draw_realization
 from prophet_matching.instances import complete_bipartite, complete_graph
 from prophet_matching.invariants import random_small_instance
-from conftest import dv, general_graph, realization, reference_order
+from conftest import general_graph, realization, reference_order
 
 
 def _sample_outranks_real(sample, real) -> bool:
@@ -115,13 +116,13 @@ class TestGraph:
 class TestMatching:
     def test_disjoint_edges_valid(self):
         g = general_graph(4, [(0, 1), (1, 2), (2, 3)])
-        m = Matching.from_edges([0, 2], [dv(5, 1), dv(3, 2), dv(4, 3)])
+        m = Matching.from_edges([0, 2], [5.0, 3.0, 4.0])
         assert validate_matching(g, m)
         assert m.weight == 9.0
 
     def test_shared_vertex_invalid(self):
         g = general_graph(4, [(0, 1), (1, 2), (2, 3)])
-        m = Matching.from_edges([0, 1], [dv(5, 1), dv(3, 2), dv(4, 3)])
+        m = Matching.from_edges([0, 1], [5.0, 3.0, 4.0])
         assert not validate_matching(g, m)
 
     def test_empty_matching_valid(self):
@@ -134,7 +135,7 @@ class TestMatching:
             validate_matching(g, Matching(edges=frozenset([5]), weight=0.0))
 
     def test_weight_accumulation_is_canonical(self):
-        vals = [dv(0.1, 1), dv(0.2, 2), dv(0.3, 3)]
+        vals = [0.1, 0.2, 0.3]
         a = Matching.from_edges([2, 0], vals)
         b = Matching.from_edges([0, 2], vals)
         assert a.weight == b.weight
@@ -145,7 +146,7 @@ class TestPriceTable:
         # one edge: its sample (draw 0) prices both endpoints, its real is draw 1
         g = general_graph(2, [(0, 1)])
         real = realization(samples=[(5, 11)], reals=[real_draw])
-        return PriceTable.from_matching(g, Matching.from_edges([0], real.samples), real)
+        return PriceTable.from_matching(g, Matching.from_edges([0], real.sample_values), real)
 
     def test_matched_vertices_carry_the_sample_draw(self):
         table = self._table((7, 12))
@@ -185,6 +186,26 @@ class TestRealization:
             for copy in (0, 1):
                 m = real.num_edges
                 assert real.edge_order(copy) == [d - copy * m for d in ref if d // m == copy]
+
+    def test_swap_copies_equals_a_fresh_sort(self):
+        # swapping edges' two draws must give exactly the realization that
+        # sorting the swapped arrays from scratch gives; ties included
+        rng = np.random.default_rng(23)
+        specs = [random_small_instance(rng) for _ in range(40)]
+        specs += [complete_graph(5, DistSpec.bernoulli_scaled(0.5, 1.0))] * 20
+        for spec in specs:
+            real = draw_realization(spec, int(rng.integers(0, 2**63)))
+            m = real.num_edges
+            flipped = [e for e in range(m) if rng.random() < 0.5]
+            swap = list(range(2 * m))
+            for e in flipped:
+                swap[e], swap[m + e] = m + e, e
+            fresh = Realization(values=real.values[swap], keys=real.keys[swap])
+            got = real.swap_copies(flipped)
+            assert got == fresh
+            assert (got.order, got.rank) == (fresh.order, fresh.rank)
+            assert (got.sample_values, got.real_values) == (fresh.sample_values, fresh.real_values)
+            assert got.samples == fresh.samples and got.reals == fresh.reals
 
     def test_key_must_be_64_bit_unsigned(self):
         for bad in (-1, 2**64):

@@ -1,14 +1,22 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from prophet_matching import distributions
 from prophet_matching.core import InputError
-from prophet_matching.distributions import DistSpec, InstanceSpec, draw_realization
-from prophet_matching.instances import complete_graph, path_graph
+from prophet_matching.distributions import (
+    DistSpec,
+    InstanceSpec,
+    _edge_words,
+    _unique_keys,
+    draw_realization,
+)
+from prophet_matching.instances import complete_bipartite, complete_graph, path_graph
 
 from conftest import general_graph
 
@@ -86,6 +94,154 @@ class TestDrawRealization:
         spec = path_graph(2, DistSpec.point_mass(1.0))
         with pytest.raises(InputError):
             draw_realization(spec, -1)
+
+    def test_seed_at_or_above_2_64_rejected(self):
+        # the seed is hashed as 8 bytes: 2**64 + 5 would draw what seed 5 draws
+        spec = path_graph(3, DistSpec.uniform(0.0, 1.0))
+        draw_realization(spec, 2**64 - 1)
+        for bad in (2**64, 2**64 + 5, 2**70):
+            with pytest.raises(InputError):
+                draw_realization(spec, bad)
+        with pytest.raises(InputError):
+            draw_realization(spec, 5.0)
+
+
+# sha256 of (values as <f8, then keys as <u8, in draw-id order) at seed 2024:
+# any change to the random stream, the quantiles or the key layout shows here
+STREAM_PINS = {
+    "point_mass": (
+        path_graph(4, DistSpec.point_mass(2.5)),
+        "8fb3b796bb5b846b1e0bd0d0c76f288b486ab19e39a3539c09fffaad3c53a930",
+    ),
+    "uniform": (
+        complete_graph(4, DistSpec.uniform(0.5, 2.0)),
+        "fd9e046bb208634d6dca2cef449d69dbeabc67141158246b1d0acbe019eb27e8",
+    ),
+    "exponential": (
+        complete_bipartite(2, 3, DistSpec.exponential(1.5)),
+        "e2cdcbbe657c0ed5b65bb0b4d8acd3f2c99f3219b5bcca91dd946cd3c796cc42",
+    ),
+    "pareto": (
+        complete_graph(4, DistSpec.pareto(1.0, 2.5)),
+        "cd5a896644e533f3f0bb01849d965c4fe0c48194971fa6ca967fac7e32269c35",
+    ),
+    "bernoulli_scaled": (
+        complete_bipartite(3, 3, DistSpec.bernoulli_scaled(0.4, 3.0)),
+        "f572e8e131ca258a18592c17a5e4c0e9806d388e8c368de229d6fc7df4be9521",
+    ),
+}
+
+
+class TestStream:
+    @pytest.mark.parametrize("family", list(STREAM_PINS))
+    def test_stream_pinned(self, family):
+        spec, digest = STREAM_PINS[family]
+        real = draw_realization(spec, 2024)
+        data = real.values.astype("<f8").tobytes() + real.keys.astype("<u8").tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_arrays_equal_the_per_edge_formula(self):
+        # every family in one instance, with integer and signed-zero parameters:
+        # each draw must be the float that hashing its edge alone and calling
+        # DistSpec.quantile gives
+        graph = complete_bipartite(3, 5, DistSpec.uniform(0.0, 1.0)).graph
+        dists = [
+            DistSpec.uniform(0.0, 2.0),
+            DistSpec.exponential(2.0),
+            DistSpec.pareto(2.0, 3.0),
+            DistSpec.bernoulli_scaled(0.5, 1.0),
+            DistSpec.point_mass(0.25),
+            DistSpec("uniform", (1, 3)),
+            DistSpec("point_mass", (-0.0,)),
+        ]
+        spec = InstanceSpec(graph, tuple(dists[e % len(dists)] for e in range(graph.num_edges)))
+        m = graph.num_edges
+        for seed in (0, 1, 77, 2**63 + 1, 2**64 - 1):
+            real = draw_realization(spec, seed)
+            values = real.sample_values + real.real_values
+            for e, (u, v) in enumerate(graph.edges):
+                ks, vs, kr, vr = _edge_words(seed, u, v)
+                for d, key, word in ((e, ks, vs), (m + e, kr, vr)):
+                    want = spec.dists[e].quantile((word >> 11) * 2.0**-53)
+                    got = values[d]
+                    assert type(got) is float
+                    assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
+                    assert int(real.keys[d]) == key
+
+    @staticmethod
+    def _seen_set_reference(keys, rekey):
+        # the key de-duplication loop draw_realization ran before it moved
+        # into _unique_keys, with draw ids in place of the two DrawnValue lists
+        seen: set[int] = set()
+        out = []
+        for d, key in enumerate(keys):
+            salt = 0
+            while key in seen:
+                salt += 1
+                key = rekey(d, salt)
+            seen.add(key)
+            out.append(key)
+        return out
+
+    def test_unique_keys_matches_seen_set_loop(self):
+        rng = np.random.default_rng(8)
+
+        def rekey(d, salt):
+            # a small range, so salted keys collide again and the loop repeats
+            return (d * 7 + salt * 13) % 41
+
+        for _ in range(200):
+            n = 2 * int(rng.integers(1, 16))
+            keys = rng.integers(0, 30, size=n).astype(np.uint64)
+            got = _unique_keys(keys, rekey).tolist()
+            assert got == self._seen_set_reference(keys.tolist(), rekey)
+            assert len(set(got)) == n
+
+    def test_unique_keys_leave_distinct_keys_alone(self):
+        keys = np.array([5, 2**64 - 1, 0, 9], dtype=np.uint64)
+
+        def rekey(d, salt):
+            raise AssertionError("no key repeats, so nothing is re-keyed")
+
+        assert _unique_keys(keys, rekey).tolist() == keys.tolist()
+
+    def test_draw_rekeys_colliding_draws(self, monkeypatch):
+        # every edge's salt-0 digest gets key words 0, so all 2m keys collide
+        # and draw_realization must take its re-keying path
+        spec = complete_graph(4, DistSpec.uniform(0.0, 1.0))
+        honest = draw_realization(spec, 11)
+        real_sha256 = hashlib.sha256
+
+        class ZeroKeys:
+            def __init__(self, h):
+                self.h = h
+
+            def copy(self):
+                return ZeroKeys(self.h.copy())
+
+            def update(self, data):
+                self.h.update(data)
+
+            def digest(self):
+                d = self.h.digest()
+                return bytes(8) + d[8:16] + bytes(8) + d[24:]
+
+        def sha256(data=b""):
+            # the seed-only state draw_realization copies; _edge_words
+            # hashes the full 32 bytes in one call and stays honest
+            return ZeroKeys(real_sha256(data)) if len(data) == 8 else real_sha256(data)
+
+        monkeypatch.setattr(distributions.hashlib, "sha256", sha256)
+        real = draw_realization(spec, 11)
+        m = spec.graph.num_edges
+
+        def rekey(d, salt):
+            u, v = spec.graph.edges[d % m]
+            return _edge_words(11, u, v, salt)[0 if d < m else 2]
+
+        assert real.values.tolist() == honest.values.tolist()
+        assert real.keys.tolist() == self._seen_set_reference([0] * (2 * m), rekey)
+        assert len(set(real.keys.tolist())) == 2 * m
 
 
 class TestMarginals:

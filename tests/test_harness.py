@@ -10,10 +10,11 @@ import pytest
 from prophet_matching.adversary import OrderStrategy, parse_order_spec
 from prophet_matching.cli import main
 from prophet_matching.core import CapabilityError, InputError
-from prophet_matching.distributions import DistSpec
+from prophet_matching.distributions import DistSpec, draw_realization
 from prophet_matching.harness import (
     ExperimentConfig,
     TrialRow,
+    _online_trial,
     estimate_ratio,
     estimate_to_csv,
     estimate_to_json,
@@ -160,6 +161,39 @@ class TestEstimateRatio:
         text = estimate_to_csv(estimate_ratio(config))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "model,order",
+        [
+            ("edge", "random"),
+            ("edge", "adaptive:block-best"),
+            ("vertex", "dec"),
+            ("truthful", "random"),
+        ],
+    )
+    def test_weights_are_python_floats(self, model, order):
+        # _fmt writes repr(x): a numpy scalar would print as np.float64(...)
+        # and silently change the CSV bytes
+        spec = complete_bipartite(3, 4, DistSpec.uniform(0, 1))
+        strategy = parse_order_spec(order)
+        estimate = estimate_ratio(ExperimentConfig(spec, model, strategy, trials=5, master_seed=2))
+        for row in estimate.rows:
+            weights = [
+                row.matching_weight,
+                row.opt_weight,
+                row.sample_matching_weight,
+                row.feasible_weight,
+            ]
+            if model == "vertex":
+                weights.append(row.safe_matching_weight)
+            assert all(type(w) is float for w in weights)
+        real = draw_realization(spec, 11)
+        _, record = _online_trial(strategy, model, spec, real, 11)
+        weights = [record.matching.weight, record.sample_matching.weight, record.feasible_weight]
+        assert all(type(w) is float for w in weights)
+        edge_events = [ev for ev in record.events if ev.edge is not None]
+        assert edge_events
+        assert all(type(ev.value) is float and type(ev.threshold) is float for ev in edge_events)
+
     def test_vertex_rows_carry_safe_matching_weight(self):
         config = ExperimentConfig(
             instance=complete_bipartite(2, 2, DistSpec.uniform(0, 1)),
@@ -216,6 +250,18 @@ class TestEstimateRatio:
                 master_seed=1,
             )
 
+
+    @pytest.mark.parametrize("field,value", [("trials", 2.5), ("master_seed", 1.5)])
+    def test_non_integer_trials_or_seed_rejected(self, field, value):
+        # both used to pass, and estimate_ratio then died with a TypeError
+        args = {"trials": 3, "master_seed": 1, field: value}
+        with pytest.raises(InputError):
+            ExperimentConfig(
+                instance=complete_graph(3, DistSpec.uniform(0, 1)),
+                model="edge",
+                strategy=OrderStrategy(kind="random"),
+                **args,
+            )
 
     def test_negative_master_seed(self):
         with pytest.raises(InputError):

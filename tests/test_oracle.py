@@ -21,7 +21,7 @@ from prophet_matching.oracle import (
     max_weight_matching,
 )
 
-from conftest import bipartite_graph, brute_force_max_weight, dv, general_graph, reference_order
+from conftest import bipartite_graph, brute_force_max_weight, general_graph, reference_order
 
 # the gate's four value families, plus point masses: all-tied weights
 CROSSCHECK_DISTS = {**DIST_FAMILIES, "point_mass": DistSpec.point_mass(1.0)}
@@ -31,15 +31,15 @@ class TestGreedy:
     def test_path_hand_trace(self):
         # weights 5, 3, 4 on a path: greedy takes the 5-edge, skips 3, takes 4
         g = general_graph(4, [(0, 1), (1, 2), (2, 3)])
-        vals = [dv(5, 1), dv(3, 2), dv(4, 3)]
-        m = greedy_matching(g, reference_order(vals), vals)
+        vals = [5.0, 3.0, 4.0]
+        m = greedy_matching(g, [0, 2, 1], vals)  # the edges from best to worst
         assert m.edges == {0, 2}
         assert m.weight == 9.0
         assert brute_force_max_weight(g, vals) == 9.0  # greedy happens to be optimal here
 
     def test_triangle_single_edge(self):
         g = general_graph(3, [(0, 1), (1, 2), (0, 2)])
-        m = greedy_matching(g, [0, 1, 2], [dv(3, 1), dv(2, 2), dv(1, 3)])
+        m = greedy_matching(g, [0, 1, 2], [3.0, 2.0, 1.0])
         assert m.edges == {0}
         assert m.weight == 3.0
 
@@ -51,14 +51,14 @@ class TestGreedy:
     def test_missing_value_rejected(self):
         g = general_graph(3, [(0, 1), (1, 2)])
         with pytest.raises(InputError):
-            greedy_matching(g, [0, 1], [dv(1, 1)])
+            greedy_matching(g, [0, 1], [1.0])
 
     def test_order_must_be_permutation(self):
         # an order that skips or repeats an edge would scan a non-greedy matching
         g = general_graph(3, [(0, 1), (1, 2)])
         for bad in ([0], [0, 0], [1, 2], [0, 1, 1]):
             with pytest.raises(InputError):
-                greedy_matching(g, bad, [dv(2, 1), dv(1, 2)])
+                greedy_matching(g, bad, [2.0, 1.0])
 
     def test_invariant_under_edge_list_permutation(self):
         rng = np.random.default_rng(3)
@@ -66,13 +66,13 @@ class TestGreedy:
             spec = random_small_instance(rng)
             real = draw_realization(spec, int(rng.integers(0, 2**62)))
             g = spec.graph
-            m1 = greedy_matching(g, real.edge_order(0), real.samples)
+            m1 = greedy_matching(g, real.edge_order(0), real.sample_values)
             perm = [int(x) for x in rng.permutation(g.num_edges)]
             g2 = general_graph(g.num_vertices, [g.edges[e] for e in perm]) \
                 if g.kind == "general" else bipartite_graph(
                     g.buyers, g.items, [g.edges[e] for e in perm])
             samples2 = [real.samples[e] for e in perm]
-            m2 = greedy_matching(g2, reference_order(samples2), samples2)
+            m2 = greedy_matching(g2, reference_order(samples2), [d.value for d in samples2])
             pairs1 = {tuple(sorted(g.edges[e])) for e in m1.edges}
             pairs2 = {tuple(sorted(g2.edges[e])) for e in m2.edges}
             assert pairs1 == pairs2
@@ -83,12 +83,12 @@ class TestGreedy:
 class TestMaxWeight:
     def test_bipartite_two_by_two(self):
         g = bipartite_graph([0, 1], [2, 3], [(0, 2), (0, 3), (1, 2), (1, 3)])
-        vals = [dv(2, 1), dv(1, 2), dv(1, 3), dv(2, 4)]
+        vals = [2.0, 1.0, 1.0, 2.0]
         assert max_weight_matching(g, vals).weight == 4.0
 
     def test_path_by_enumeration(self):
         g = general_graph(4, [(0, 1), (1, 2), (2, 3)])
-        vals = [dv(5, 1), dv(3, 2), dv(4, 3)]
+        vals = [5.0, 3.0, 4.0]
         assert max_weight_matching(g, vals).weight == 9.0
 
     @pytest.mark.parametrize(
@@ -101,8 +101,8 @@ class TestMaxWeight:
             if spec.graph.num_edges > 12:
                 continue
             real = draw_realization(spec, int(rng.integers(0, 2**62)))
-            expected = brute_force_max_weight(spec.graph, real.reals)
-            got = solve(spec.graph, real.reals)
+            expected = brute_force_max_weight(spec.graph, real.real_values)
+            got = solve(spec.graph, real.real_values)
             assert got.weight == pytest.approx(expected, abs=1e-12)
             assert validate_matching(spec.graph, got)
 
@@ -112,8 +112,8 @@ class TestMaxWeight:
         for _ in range(25):
             spec = random_small_instance(rng, bipartite=True)
             real = draw_realization(spec, int(rng.integers(0, 2**62)))
-            a = _assignment_opt(spec.graph, real.reals)
-            b = _blossom_opt(spec.graph, real.reals)
+            a = _assignment_opt(spec.graph, real.real_values)
+            b = _blossom_opt(spec.graph, real.real_values)
             assert a.weight == pytest.approx(b.weight, abs=1e-12)
 
     @pytest.mark.parametrize("dist_name", list(CROSSCHECK_DISTS))
@@ -128,8 +128,8 @@ class TestMaxWeight:
             edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
             spec = InstanceSpec(graph=general_graph(n, edges), dists=(dist,) * len(edges))
             real = draw_realization(spec, int(rng.integers(0, 2**62)))
-            dp = _dp_opt(spec.graph, real.reals)
-            blossom = _blossom_opt(spec.graph, real.reals)
+            dp = _dp_opt(spec.graph, real.real_values)
+            blossom = _blossom_opt(spec.graph, real.real_values)
             assert validate_matching(spec.graph, blossom)
             assert blossom.weight == pytest.approx(dp.weight, rel=1e-12, abs=0)
 
@@ -138,14 +138,14 @@ class TestMaxWeight:
         for _ in range(60):
             spec = random_small_instance(rng)
             real = draw_realization(spec, int(rng.integers(0, 2**62)))
-            greedy = greedy_matching(spec.graph, real.edge_order(1), real.reals)
-            opt = max_weight_matching(spec.graph, real.reals)
+            greedy = greedy_matching(spec.graph, real.edge_order(1), real.real_values)
+            opt = max_weight_matching(spec.graph, real.real_values)
             assert 2.0 * greedy.weight >= opt.weight
 
     def test_ties_broken_arbitrarily_weight_is_contractual(self):
         # two optimal matchings of equal weight: either is acceptable
         g = bipartite_graph([0, 1], [2, 3], [(0, 2), (1, 3), (0, 3), (1, 2)])
-        vals = [dv(1, 1), dv(1, 2), dv(1, 3), dv(1, 4)]
+        vals = [1.0, 1.0, 1.0, 1.0]
         assert max_weight_matching(g, vals).weight == 2.0
 
 
@@ -153,22 +153,22 @@ class TestCapabilities:
     def test_large_sparse_general_graph_solved(self):
         spec = path_graph(30, DistSpec.point_mass(1.0))
         real = draw_realization(spec, 0)
-        assert max_weight_matching(spec.graph, real.reals).weight == 15.0
+        assert max_weight_matching(spec.graph, real.real_values).weight == 15.0
 
     def test_paths_past_dp_cap(self):
         for n, weight in ((25, 12.0), (26, 13.0)):
             spec = path_graph(n, DistSpec.point_mass(1.0))
             real = draw_realization(spec, 0)
-            assert max_weight_matching(spec.graph, real.reals).weight == weight
+            assert max_weight_matching(spec.graph, real.real_values).weight == weight
 
     def test_complete_40(self):
         spec = complete_graph(40, DistSpec.uniform(0, 1))
         real = draw_realization(spec, 5)
-        opt = max_weight_matching(spec.graph, real.reals)
+        opt = max_weight_matching(spec.graph, real.real_values)
         assert validate_matching(spec.graph, opt)
         # positive values on an even complete graph: every optimum is perfect
         assert len(opt.edges) == 20
-        assert opt.weight >= greedy_matching(spec.graph, real.edge_order(1), real.reals).weight
+        assert opt.weight >= greedy_matching(spec.graph, real.edge_order(1), real.real_values).weight
 
 
 def test_networkx_loaded_only_past_dp_cap():
@@ -182,7 +182,7 @@ def test_networkx_loaded_only_past_dp_cap():
         "from prophet_matching.instances import complete_graph\n"
         "from prophet_matching.oracle import max_weight_matching\n"
         "spec = complete_graph(12, DistSpec.uniform(0, 1))\n"
-        "max_weight_matching(spec.graph, draw_realization(spec, 0).reals)\n"
+        "max_weight_matching(spec.graph, draw_realization(spec, 0).real_values)\n"
         "assert 'networkx' not in sys.modules\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
