@@ -47,6 +47,11 @@ class DrawnValue:
     tiebreak: int
 
 
+# Graphs with more matchings than this get no ``Graph.matching_table``; the
+# certification gate's graphs have at most 229 (K3,6).
+MATCHING_TABLE_CAP = 1024
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected graph with dense integer vertex ids 0..n-1 and edge ids 0..m-1.
@@ -130,6 +135,73 @@ class Graph:
         edge_at[rows, cols] = np.arange(self.num_edges)
         return rows, cols, edge_at
 
+    @cached_property
+    def matching_table(self) -> np.ndarray | None:
+        """Every matching of the graph, or None if it has more than
+        ``MATCHING_TABLE_CAP``.
+
+        Row r of the table lists matching r's edge ids in increasing order,
+        padded with m (one past the last edge id) to the size of the largest
+        matching; the empty matching is a row of padding.
+        """
+        m, cap = self.num_edges, MATCHING_TABLE_CAP
+        # the graph has at least m + 1 matchings (none, and each edge alone),
+        # and at least 2**k if a greedy matching has k edges: one per subset
+        used: set[int] = set()
+        for u, v in self.edges:
+            if u not in used and v not in used:
+                used.update((u, v))
+        if m >= cap or 2 ** (len(used) // 2) > cap:
+            return None
+        above: list[list[tuple[int, int]]] = [[] for _ in range(self.num_vertices)]
+        for eid, (u, v) in enumerate(self.edges):
+            above[min(u, v)].append((eid, max(u, v)))
+        lows = [v for v in range(self.num_vertices) if above[v]]
+        # grow each matching only by edges whose lower endpoint comes after
+        # those of its edges, so every matching is reached exactly once
+        found = [(0, 0, ())]  # (next place in lows, used vertex bits, edge ids)
+        rows = []
+        while found:
+            start, used_bits, chosen = found.pop()
+            rows.append(sorted(chosen))
+            for k in range(start, len(lows)):
+                v = lows[k]
+                if used_bits >> v & 1:
+                    continue
+                for eid, w in above[v]:
+                    if not used_bits >> w & 1:
+                        found.append((k + 1, used_bits | 1 << v | 1 << w, chosen + (eid,)))
+            if len(rows) + len(found) > cap:
+                return None
+        table = np.full((len(rows), max(map(len, rows))), m, dtype=np.intp)
+        for r, chosen in enumerate(rows):
+            table[r, : len(chosen)] = chosen
+        table.setflags(write=False)
+        return table
+
+
+def sort_draws(values: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Sort each row of draws from best to worst: larger value first, then smaller key.
+
+    ``values`` and ``keys`` are (rows, 2m) arrays, one realization's draws
+    per row.  Returns every row's ``order`` (draw ids from best to worst) and
+    ``rank`` (each draw's place in that order), and the rows in which a key
+    repeats, which leaves them without a strict order.
+    """
+    n, w = keys.shape
+    offsets = w * np.arange(n)[:, None]  # row starts in the flattened arrays
+    by_key = keys.argsort(axis=1)
+    by_key += offsets
+    sorted_keys = keys.take(by_key)
+    repeated = sorted_keys[:, 1:] == sorted_keys[:, :-1]
+    repeated = np.flatnonzero(repeated.any(axis=1)).tolist() if np.count_nonzero(repeated) else []
+    # a stable sort by value keeps equal values in key order
+    order = by_key.take((-values.take(by_key)).argsort(axis=1, kind="stable") + offsets)
+    rank = np.empty_like(order)
+    rank.put(order, np.arange(w))  # put repeats the w places over every row
+    order -= offsets
+    return order, rank, repeated
+
 
 @dataclass(frozen=True, eq=False)
 class Realization:
@@ -162,34 +234,51 @@ class Realization:
             raise InputError("tie-break keys must be 64-bit unsigned integers") from None
         if values.ndim != 1 or values.shape != keys.shape or len(values) % 2:
             raise InputError("values and keys must be 1-D, of one even length: samples, then reals")
-        by_key = keys.argsort()
-        sorted_keys = keys[by_key]
-        if np.count_nonzero(sorted_keys[1:] == sorted_keys[:-1]):
+        order, rank, repeated = sort_draws(values[None], keys[None])
+        if repeated:
             raise ContractViolation("tie-break keys are not globally unique")
-        # a stable sort by value keeps equal values in key order
-        order = by_key[(-values[by_key]).argsort(kind="stable")]
-        # that sort puts +inf first, and negative values and NaN last
-        for d in order[:1].tolist() + order[-1:].tolist():
+        order = order[0].tolist()
+        # the sort puts +inf first, and negative values and NaN last
+        for d in order[:1] + order[-1:]:
             if not 0 <= values[d] < math.inf:
                 raise InputError(f"drawn value {values[d]} is negative or not finite")
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        self._fill(values, keys, order.tolist(), rank.tolist())
+        self._fill(values, keys, order, rank[0].tolist(), values.tolist())
 
-    def _fill(self, values: np.ndarray, keys: np.ndarray, order: list[int], rank: list[int]):
+    @classmethod
+    def _presorted(
+        cls,
+        values: np.ndarray,
+        keys: np.ndarray,
+        order: list[int],
+        rank: list[int],
+        flat: list[float],
+    ) -> "Realization":
+        """A realization of draws ``sort_draws`` has already ordered and checked;
+        ``flat`` is ``values`` as a list of floats."""
+        out = object.__new__(cls)
+        out._fill(values, keys, order, rank, flat)
+        return out
+
+    def _fill(
+        self,
+        values: np.ndarray,
+        keys: np.ndarray,
+        order: list[int],
+        rank: list[int],
+        flat: list[float],
+    ):
         values.setflags(write=False)
         keys.setflags(write=False)
-        flat = values.tolist()
         m = len(flat) // 2
-        for name, value in (
-            ("values", values),
-            ("keys", keys),
-            ("order", tuple(order)),
-            ("rank", tuple(rank)),
-            ("sample_values", tuple(flat[:m])),
-            ("real_values", tuple(flat[m:])),
-        ):
-            object.__setattr__(self, name, value)
+        # a frozen dataclass: fill the fields past its __setattr__
+        self.__dict__.update(
+            values=values,
+            keys=keys,
+            order=tuple(order),
+            rank=tuple(rank),
+            sample_values=tuple(flat[:m]),
+            real_values=tuple(flat[m:]),
+        )
 
     def __eq__(self, other):
         if not isinstance(other, Realization):
@@ -229,11 +318,10 @@ class Realization:
         swap = list(range(2 * m))
         for e in edges:
             swap[e], swap[m + e] = m + e, e
-        out = object.__new__(Realization)
+        values = self.values[swap]
         order = [swap[d] for d in self.order]
         rank = [self.rank[d] for d in swap]
-        out._fill(self.values[swap], self.keys[swap], order, rank)
-        return out
+        return Realization._presorted(values, self.keys[swap], order, rank, values.tolist())
 
 
 def matching_weight(edge_ids: Iterable[int], values: Sequence[float]) -> float:

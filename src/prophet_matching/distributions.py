@@ -5,14 +5,15 @@ Sampling is counter-based: edge (u, v) with u < v gets four 64-bit words from
 real value word.  So draws do not depend on the order edges are listed in an
 instance file, and different seeds give independent realizations.
 
-``draw_realization`` hashes every edge once, joins the digests into one
-buffer and reads it as an (m, 4) array of words.  A value word w maps to
-``(w >> 11) * 2**-53`` in [0, 1), which is exact in numpy too.  Uniform,
-point-mass and Bernoulli quantiles are then computed for all edges of a
-family at once; exponential and Pareto quantiles run per draw through
-``DistSpec.quantile``, because numpy's ``log1p`` and ``**`` differ from
-``math``'s in the last bit.  Each value is thus the same float as the
-per-edge formula gives.
+``draw_realizations`` draws a batch of seeds at once: it hashes every edge
+once per seed, joins the digests into one buffer and reads it as a
+(seeds, m, 4) array of words; ``draw_realization`` is its one-seed case.  A
+value word w maps to ``(w >> 11) * 2**-53`` in [0, 1), which is exact in
+numpy too.  Quantiles are then computed for all draws of a family at once;
+the logarithm of the exponential and the power of the Pareto run through
+``math.log1p`` and ``pow``, because numpy's ``log1p`` and ``**`` differ from
+libm's in the last bit.  Each value is thus the same float as the per-edge
+formula ``DistSpec.quantile`` gives.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ContractViolation, Graph, InputError, Realization
+from .core import Graph, InputError, Realization, sort_draws
 
 FAMILIES = ("point_mass", "uniform", "exponential", "pareto", "bernoulli_scaled")
 
@@ -156,31 +157,29 @@ class InstanceSpec:
         """What every draw of this instance reuses, built once.
 
         Returns each edge's hash input after the seed, ``(lo, hi, salt 0)``,
-        and its edges grouped by family as ``(family, edge index, arguments)``.
-        The index is a full slice when one family covers every edge.  The
-        vectorized families get their parameters as float arrays; exponential
-        and Pareto get the edges' ``DistSpec`` objects.
+        and its draws grouped by family as ``(family, draw ids, arguments)``:
+        the ids of its edges' samples, then of their reals, or a full slice
+        when one family covers every edge.  The arguments are what
+        ``_quantiles`` reads: one array per parameter, with an entry per draw.
         """
+        m = self.graph.num_edges
         tails = tuple(struct.pack("<QQQ", min(u, v), max(u, v), 0) for u, v in self.graph.edges)
         by_family: dict[str, list[int]] = {}
         for e, dist in enumerate(self.dists):
             by_family.setdefault(dist.family, []).append(e)
         groups = []
         for family, edges in by_family.items():
-            dists = [self.dists[e] for e in edges]
-            if family in _VECTOR_FAMILIES:
-                params = [d.params for d in dists]
-                if family == "uniform":  # the quantile needs lo and hi - lo
-                    params = [(lo, hi - lo) for lo, hi in params]
-                args = tuple(np.array(col, dtype=np.float64) for col in zip(*params))
-            else:
-                args = dists
-            index = slice(None) if len(edges) == len(self.dists) else np.array(edges)
-            groups.append((family, index, args))
+            params = [self.dists[e].params for e in edges] * 2  # the samples, then the reals
+            if family == "uniform":  # the quantile needs lo and hi - lo
+                params = [(lo, hi - lo) for lo, hi in params]
+            elif family == "pareto":  # and this the scale and -1 / shape
+                params = [(scale, -1.0 / shape) for scale, shape in params]
+            args = tuple(np.array(col, dtype=np.float64) for col in zip(*params))
+            draws = slice(None) if len(edges) == m else np.array(edges + [m + e for e in edges])
+            groups.append((family, draws, args))
         return tails, tuple(groups)
 
 
-_VECTOR_FAMILIES = ("point_mass", "uniform", "bernoulli_scaled")
 _MASK64 = (1 << 64) - 1
 
 
@@ -194,11 +193,14 @@ def _edge_words(seed: int, u: int, v: int, salt: int = 0) -> tuple[int, int, int
 
 
 def _quantiles(family: str, u: np.ndarray, args) -> np.ndarray:
-    """Quantiles of one family's draws at the uniforms ``u``, shape (2, k).
+    """Quantiles of one family's draws at the uniforms ``u``, shape (seeds, draws).
 
-    Row 0 holds the samples and row 1 the reals of the family's k edges;
     ``args`` comes from ``InstanceSpec._draw_plan``.  Every entry is the float
-    ``DistSpec.quantile`` returns for it.
+    ``DistSpec.quantile`` returns for it: numpy's arithmetic is IEEE's, but
+    its ``log1p`` and ``**`` differ from libm's in the last bit, so those two
+    run through ``math.log1p`` and ``pow`` on Python floats.  Only
+    exponential and Pareto draws can leave [0, inf) with valid parameters,
+    by overflowing.
     """
     if family == "point_mass":
         return np.broadcast_to(args[0], u.shape)
@@ -208,7 +210,22 @@ def _quantiles(family: str, u: np.ndarray, args) -> np.ndarray:
     if family == "bernoulli_scaled":
         prob, v = args
         return np.where(u < prob, v, 0.0)
-    return np.array([[d.quantile(x) for d, x in zip(args, row)] for row in u.tolist()])
+    with np.errstate(over="ignore"):
+        if family == "exponential":
+            (rate,) = args
+            values = -_libm(math.log1p, -u) / rate
+        else:
+            scale, power = args
+            values = scale * _libm(pow, 1.0 - u, np.broadcast_to(power, u.shape))
+    if values.size and values.max() == math.inf:
+        raise InputError("drawn value inf is negative or not finite")
+    return values
+
+
+def _libm(fn, *arrays: np.ndarray) -> np.ndarray:
+    """``fn`` over the entries of equal-shaped arrays, as Python floats."""
+    out = map(fn, *(a.ravel().tolist() for a in arrays))
+    return np.fromiter(out, np.float64, arrays[0].size).reshape(arrays[0].shape)
 
 
 def _unique_keys(keys: np.ndarray, rekey: Callable[[int, int], int]) -> np.ndarray:
@@ -230,6 +247,61 @@ def _unique_keys(keys: np.ndarray, rekey: Callable[[int, int], int]) -> np.ndarr
     return np.array(out, dtype=np.uint64)
 
 
+def _check_seeds(seeds) -> list[int]:
+    """The seeds as Python ints, each in [0, 2**64)."""
+    if isinstance(seeds, np.ndarray):
+        seeds = seeds.tolist()
+    try:
+        seeds = [operator.index(seed) for seed in seeds]
+    except TypeError:
+        raise InputError("seed must be an integer") from None
+    for seed in seeds:
+        if not 0 <= seed <= _MASK64:
+            raise InputError("seed must be a non-negative integer below 2**64")
+    return seeds
+
+
+def draw_realizations(spec: InstanceSpec, seeds) -> list[Realization]:
+    """``draw_realization`` at each of ``seeds``, drawn as one batch.
+
+    All digests go into one buffer, the quantiles are taken over a
+    (seeds x 2m) array, and ``sort_draws`` orders every row at once, so each
+    realization equals the one its seed draws alone.
+    """
+    seeds = _check_seeds(seeds)
+    tails, groups = spec._draw_plan
+    n, m = len(seeds), len(tails)
+    digests = []
+    for seed in seeds:
+        seeded = hashlib.sha256(seed.to_bytes(8, "little"))
+        for tail in tails:  # copying the seeded state is cheaper than a new hash
+            h = seeded.copy()
+            h.update(tail)
+            digests.append(h.digest())
+    # per seed, one row per edge: sample key, sample value word, real key, real value word
+    words = np.frombuffer(b"".join(digests), "<u8").reshape(n, m, 4)
+    keys = np.concatenate((words[:, :, 0], words[:, :, 2]), axis=1)  # draw ids 0..2m-1
+    units = np.concatenate((words[:, :, 1], words[:, :, 3]), axis=1)
+    units >>= 11
+    units = units * 2.0**-53
+    values = np.empty((n, 2 * m))
+    for family, draws, args in groups:
+        values[:, draws] = _quantiles(family, units[:, draws], args)
+    order, rank, repeated = sort_draws(values, keys)
+    for t in repeated:
+
+        def rekey(d: int, salt: int, seed=seeds[t]) -> int:
+            u, v = spec.graph.edges[d % m]
+            return _edge_words(seed, u, v, salt)[0 if d < m else 2]
+
+        keys[t] = _unique_keys(keys[t], rekey)
+        order[t], rank[t], _ = sort_draws(values[t : t + 1], keys[t : t + 1])
+    flat, orders, ranks = values.tolist(), order.tolist(), rank.tolist()
+    return [
+        Realization._presorted(values[t], keys[t], orders[t], ranks[t], flat[t]) for t in range(n)
+    ]
+
+
 def draw_realization(spec: InstanceSpec, seed: int) -> Realization:
     """Draw a sample and a real value for every edge, deterministically.
 
@@ -240,34 +312,4 @@ def draw_realization(spec: InstanceSpec, seed: int) -> Realization:
     result a pure function of (spec, seed).  The seed must lie in
     [0, 2**64): it is hashed as 8 bytes, so larger seeds would alias.
     """
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise InputError("seed must be an integer") from None
-    if not 0 <= seed <= _MASK64:
-        raise InputError("seed must be a non-negative integer below 2**64")
-    tails, groups = spec._draw_plan
-    seeded = hashlib.sha256(seed.to_bytes(8, "little"))
-    digests = []
-    for tail in tails:  # copying the seeded state is cheaper than a new hash
-        h = seeded.copy()
-        h.update(tail)
-        digests.append(h.digest())
-    # one row per edge: sample key, sample value word, real key, real value word
-    words = np.frombuffer(b"".join(digests), "<u8").reshape(-1, 4)
-    m = len(tails)
-
-    def rekey(d: int, salt: int) -> int:
-        u, v = spec.graph.edges[d % m]
-        return _edge_words(seed, u, v, salt)[0 if d < m else 2]
-
-    keys = words[:, 0::2].T.ravel()
-    units = (words[:, 1::2].T >> 11) * 2.0**-53  # row 0 the samples, row 1 the reals
-    values = np.empty((2, m))
-    for family, index, args in groups:
-        values[:, index] = _quantiles(family, units[:, index], args)
-    values = values.ravel()
-    try:
-        return Realization(values=values, keys=keys)
-    except ContractViolation:  # some key repeats; the constructor checks
-        return Realization(values=values, keys=_unique_keys(keys, rekey))
+    return draw_realizations(spec, (seed,))[0]

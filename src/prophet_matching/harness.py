@@ -94,6 +94,68 @@ def trial_seed(master_seed: int, trial: int) -> int:
     return int(np.random.SeedSequence([master_seed, trial]).generate_state(1, np.uint64)[0])
 
 
+# numpy's SeedSequence constants: a pool of four 32-bit words, two hash
+# multipliers and the mixing multipliers
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def trial_seeds(master_seed: int, trials: int) -> np.ndarray:
+    """``trial_seed(master_seed, t)`` for t = 0 .. trials-1, as a uint64 array.
+
+    This is ``SeedSequence([master_seed, t]).generate_state(1, np.uint64)``
+    with the mixing done over every t at once, in uint32 arrays that wrap as
+    numpy's own 32-bit arithmetic does.  The entropy is the master seed's
+    32-bit words, low first, then t's one word.
+    """
+    if master_seed < 0 or trials < 0:
+        raise InputError("seeds and trial indices must be non-negative integers")
+    if trials > 2**32:  # each trial index must be a single 32-bit word
+        raise InputError("at most 2**32 trials")
+    words, rest = [], master_seed
+    while True:
+        words.append(rest & _MASK32)
+        rest >>= 32
+        if not rest:
+            break
+    entropy = [np.full(trials, w, dtype=np.uint32) for w in words]
+    entropy.append(np.arange(trials, dtype=np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value *= np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    zero = np.zeros(trials, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state: two 32-bit words, low then high, of one uint64
+    hash_const = _INIT_B
+    state = []
+    for value in pool[:2]:
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value *= np.uint32(hash_const)
+        state.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    return state[0] | state[1] << np.uint64(32)
+
+
 def _run_online(model: str, spec: InstanceSpec, real, order) -> RunRecord:
     """The model's online algorithm on one realization and order or controller."""
     if model == "edge":

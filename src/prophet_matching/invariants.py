@@ -20,7 +20,13 @@ import numpy as np
 
 from .adversary import OrderStrategy
 from .core import Graph, InputError, validate_matching
-from .distributions import DistSpec, InstanceSpec, _edge_words, draw_realization
+from .distributions import (
+    DistSpec,
+    InstanceSpec,
+    _edge_words,
+    draw_realization,
+    draw_realizations,
+)
 from .edge_arrival import _records_agree, run_offline_edge, run_online_edge
 from .instances import (
     complete_bipartite,
@@ -30,7 +36,7 @@ from .instances import (
     instance_to_dict,
     star_graph,
 )
-from .oracle import greedy_matching, max_weight_matching
+from .oracle import greedy_matching, max_matching_weights, max_weight_matching
 from .truthful import maximality_check, misreport_audit, run_truthful
 from .vertex_arrival import run_offline_vertex, run_online_vertex
 
@@ -291,6 +297,39 @@ def check_greedy_two_approx(instances: int = 500, seed: int = 103) -> InvariantR
 
 
 # ---------------------------------------------------------------------------
+# batched trials
+
+# The seeded checks below draw and solve their trials a chunk at a time, with
+# at most this many elements per chunk: trials times the 2m draws plus the
+# graph's matching-table rows.  On the quick suite, chunks of 16 to 400
+# trials take the same time, and the larger ones raise the peak memory.
+BATCH_ELEMENTS = 1 << 12
+
+
+def _trial_chunks(spec: InstanceSpec, seed: int, trials: int):
+    """Trials 0 .. trials-1 in chunks: (first trial, seeds, realizations).
+
+    Trial t's seed is ``trial_seed(seed, t)`` and its realization the one
+    ``draw_realization`` gives at that seed.
+    """
+    from .harness import trial_seeds
+
+    table = spec.graph.matching_table
+    per_trial = 2 * spec.graph.num_edges + (0 if table is None else len(table))
+    size = max(1, BATCH_ELEMENTS // per_trial)
+    seeds = trial_seeds(seed, trials)
+    for start in range(0, trials, size):
+        chunk = seeds[start : start + size]
+        yield start, chunk.tolist(), draw_realizations(spec, chunk)
+
+
+def _trials(spec: InstanceSpec, seed: int, trials: int):
+    """Each trial index with its realization, drawn a chunk at a time."""
+    for start, _, reals in _trial_chunks(spec, seed, trials):
+        yield from enumerate(reals, start)
+
+
+# ---------------------------------------------------------------------------
 # competitive-ratio bounds
 
 
@@ -309,25 +348,28 @@ def check_bound(
     Also exactly checks the greedy 2-approximation on the sample values of
     every trial (the per-realization guarantee the prices rely on).
     """
-    from .harness import _online_trial, trial_seed
+    from .harness import _online_trial
 
     graph = spec.graph
     alg = np.empty(trials)
     opt = np.empty(trials)
+    sample_w = np.empty(trials)
+    opt_s = np.empty(trials)
+    for start, seeds, reals in _trial_chunks(spec, seed, trials):
+        for t, (s, real) in enumerate(zip(seeds, reals), start):
+            _, record = _online_trial(strategy, model, spec, real, s)
+            alg[t] = record.matching.weight
+            sample_w[t] = record.sample_matching.weight
+        done = slice(start, start + len(reals))
+        opt[done] = max_matching_weights(graph, [real.real_values for real in reals])
+        if check_greedy:
+            opt_s[done] = max_matching_weights(graph, [real.sample_values for real in reals])
     greedy_violations = 0
     greedy_min_slack = math.inf
-    for t in range(trials):
-        s = trial_seed(seed, t)
-        real = draw_realization(spec, s)
-        _, record = _online_trial(strategy, model, spec, real, s)
-        alg[t] = record.matching.weight
-        opt[t] = max_weight_matching(graph, real.real_values).weight
-        if check_greedy:
-            opt_s = max_weight_matching(graph, real.sample_values).weight
-            slack = 2.0 * record.sample_matching.weight - opt_s
-            greedy_min_slack = min(greedy_min_slack, slack)
-            if slack < 0:
-                greedy_violations += 1
+    if check_greedy:
+        slack = 2.0 * sample_w - opt_s
+        greedy_violations = int(np.count_nonzero(slack < 0))
+        greedy_min_slack = float(slack.min(initial=math.inf))
     diffs = bound * alg - opt
     mean_opt = float(opt.mean())
     se_opt = float(opt.std(ddof=1) / math.sqrt(trials))
@@ -393,8 +435,6 @@ def check_edge_chain(
     output matching weight; plus the counts behind the coin-fairness and
     safe-frequency rates.
     """
-    from .harness import trial_seed
-
     rng_orders = np.random.default_rng(np.random.SeedSequence([seed, 777]))
     m = spec.graph.num_edges
     lead_sum = np.empty(trials)
@@ -404,8 +444,7 @@ def check_edge_chain(
     n_considered = np.empty(trials)
     n_lead_feasible = np.empty(trials)
     n_safe = np.empty(trials)
-    for t in range(trials):
-        real = draw_realization(spec, trial_seed(seed, t))
+    for t, real in _trials(spec, seed, trials):
         order = [int(x) for x in rng_orders.permutation(m)]
         trace = run_offline_edge(spec, real, order)
         feas = frozenset(trace.record.feasible)
@@ -459,17 +498,17 @@ def check_coin_fairness(
     is exactly a fair coin: each edge's coin is one bit of a hash of its
     endpoints under a per-trial coin seed.
     """
-    from .harness import trial_seed
+    from .harness import trial_seeds
 
     edges = spec.graph.edges
     rng_orders = np.random.default_rng(np.random.SeedSequence([seed, 778]))
     m = spec.graph.num_edges
     num = np.empty(trials)
     den = np.empty(trials)
-    for t in range(trials):
-        real = draw_realization(spec, trial_seed(seed, t))
+    coin_seeds = trial_seeds(seed ^ 0xC0FFEE, trials).tolist()
+    for t, real in _trials(spec, seed, trials):
         order = [int(x) for x in rng_orders.permutation(m)]
-        coin_seed = trial_seed(seed ^ 0xC0FFEE, t)
+        coin_seed = coin_seeds[t]
 
         def heads(e: int) -> bool:
             return bool(_edge_words(coin_seed, *edges[e], _COIN_SALT)[0] & 1)
@@ -503,8 +542,6 @@ def check_vertex_chain(
     safe matching enough to flip safe_vs_sample negative on some families;
     both forms are reported so the gap is visible.
     """
-    from .harness import trial_seed
-
     rng_orders = np.random.default_rng(np.random.SeedSequence([seed, 779]))
     buyers = list(spec.graph.buyers)
     ms_w = np.empty(trials)
@@ -513,20 +550,22 @@ def check_vertex_chain(
     match_w = np.empty(trials)
     opt_w = np.empty(trials)
     sandwich_failures = 0
-    for t in range(trials):
-        real = draw_realization(spec, trial_seed(seed, t))
-        order = [buyers[int(x)] for x in rng_orders.permutation(len(buyers))]
-        trace = run_offline_vertex(spec, real, order)
-        ms_w[t] = trace.record.sample_matching.weight
-        feas_w[t] = trace.record.feasible_weight
-        safe_w[t] = trace.safe_matching.weight
-        match_w[t] = trace.record.matching.weight
-        opt_w[t] = max_weight_matching(spec.graph, real.real_values).weight
-        if not (
-            match_w[t] <= safe_w[t] + 1e-12
-            and safe_w[t] <= trace.record.feasible_weight + 1e-12
-        ):
-            sandwich_failures += 1
+    for start, _, reals in _trial_chunks(spec, seed, trials):
+        for t, real in enumerate(reals, start):
+            order = [buyers[int(x)] for x in rng_orders.permutation(len(buyers))]
+            trace = run_offline_vertex(spec, real, order)
+            ms_w[t] = trace.record.sample_matching.weight
+            feas_w[t] = trace.record.feasible_weight
+            safe_w[t] = trace.safe_matching.weight
+            match_w[t] = trace.record.matching.weight
+            if not (
+                match_w[t] <= safe_w[t] + 1e-12
+                and safe_w[t] <= trace.record.feasible_weight + 1e-12
+            ):
+                sandwich_failures += 1
+        opt_w[start : start + len(reals)] = max_matching_weights(
+            spec.graph, [real.real_values for real in reals]
+        )
     results = [
         _paired_result(f"vertex_chain/feasible_vs_sample[{label}]", 2.0 * feas_w - ms_w),
         _paired_result(f"vertex_chain/safe_vs_sample[{label}]", 2.0 * safe_w - ms_w),
@@ -616,12 +655,9 @@ def check_single_edge_point_mass(trials: int = 10_000, seed: int = 106) -> Invar
     the two tie-break keys ranks first, a fair coin; the rate must sit within
     0.5 +/- 0.015 at 10^4 trials (3 sigma).
     """
-    from .harness import trial_seed
-
     spec = star_graph(1, DistSpec.point_mass(1.0))
     accepted = 0
-    for t in range(trials):
-        real = draw_realization(spec, trial_seed(seed, t))
+    for _, real in _trials(spec, seed, trials):
         record = run_online_edge(spec, real, [0])
         accepted += 1 if record.matching.edges else 0
     rate = accepted / trials

@@ -5,25 +5,24 @@ building sample prices.  It scans a given edge order, which callers take from
 the realization's rank (``Realization.edge_order``), so tie handling is the
 one strict total order everywhere and no sort happens here.  The exact
 solver is the reference the Monte Carlo harness measures against; it takes
-one of three paths by graph kind and size: the assignment solver for
-bipartite graphs, subset DP for general graphs of at most 12 vertices, and
-Edmonds' blossom algorithm for larger general graphs.
+one of three paths:
+
+- a graph with at most ``MATCHING_TABLE_CAP`` matchings is solved from its
+  ``Graph.matching_table``: every matching's weight is summed in edge-id
+  order, as ``matching_weight`` sums it, and the largest is the optimum;
+  ``max_matching_weights`` does this for many value vectors at once;
+- other bipartite graphs go to the assignment solver;
+- other general graphs go to Edmonds' blossom algorithm.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .core import Graph, InputError, Matching
-
-# Subset DP is faster than blossom up to 12 vertices, slower from 14 on (µs per
-# call on 2 cores: K12 1,018 vs 1,429, K14 2,673 vs 2,126, K20 128,133 vs
-# 8,203); every graph of the certification gate has at most 9 vertices.
-DP_VERTEX_CAP = 12
 
 
 def _as_value_list(graph: Graph, values: Sequence[float]) -> list[float]:
@@ -32,6 +31,9 @@ def _as_value_list(graph: Graph, values: Sequence[float]) -> list[float]:
     if len(values) != graph.num_edges:
         raise InputError(f"need {graph.num_edges} edge values, got {len(values)}")
     return values
+
+
+_NOT_A_PERMUTATION = "greedy order must be a permutation of the edge ids"
 
 
 def greedy_matching(graph: Graph, order: Sequence[int], values: Sequence[float]) -> Matching:
@@ -43,15 +45,24 @@ def greedy_matching(graph: Graph, order: Sequence[int], values: Sequence[float])
     never from the edge list order.  ``values`` only weigh the result.
     """
     vals = _as_value_list(graph, values)
-    if sorted(order) != list(range(graph.num_edges)):
-        raise InputError("greedy order must be a permutation of the edge ids")
+    edges = graph.edges
+    if len(order) != len(edges):
+        raise InputError(_NOT_A_PERMUTATION)
+    # of the right length, the order is a permutation iff no id repeats
+    seen = bytearray(len(edges))
     used: set[int] = set()
     chosen: list[int] = []
-    for eid in order:
-        u, v = graph.edges[eid]
-        if u not in used and v not in used:
-            chosen.append(eid)
-            used.update((u, v))
+    try:
+        for eid in order:
+            if eid < 0 or seen[eid]:  # an id past the last edge raises IndexError
+                raise InputError(_NOT_A_PERMUTATION)
+            seen[eid] = 1
+            u, v = edges[eid]
+            if u not in used and v not in used:
+                chosen.append(eid)
+                used.update((u, v))
+    except IndexError:
+        raise InputError(_NOT_A_PERMUTATION) from None
     return Matching.from_edges(chosen, vals)
 
 
@@ -67,64 +78,33 @@ def _assignment_opt(graph: Graph, vals: Sequence[float]) -> Matching:
     return Matching.from_edges(chosen[chosen >= 0].tolist(), vals)
 
 
-@lru_cache(maxsize=256)
-def _adjacency(graph: Graph) -> tuple[tuple[tuple[int, int], ...], ...]:
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(graph.num_vertices)]
-    for eid, (u, v) in enumerate(graph.edges):
-        adj[u].append((eid, v))
-        adj[v].append((eid, u))
-    return tuple(tuple(x) for x in adj)
+def _table_weights(table: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The weight of every matching of ``table`` under each row of ``values``.
 
-
-def _dp_opt(graph: Graph, values: Sequence[float]) -> Matching:
-    """Exact optimum by dynamic programming over vertex subsets (general graphs).
-
-    Top-down with memoization: only subsets reachable from the full vertex
-    set are evaluated, which keeps sparse graphs far below the 2^n ceiling.
+    Each weight is added up in edge-id order from 0.0, as ``matching_weight``
+    does, so the two agree bit for bit; padding adds a 0.0 at the end.
     """
-    adj = _adjacency(graph)
-    best: dict[int, float] = {0: 0.0}
-    pick: dict[int, tuple[int, int] | None] = {}
+    padded = np.zeros((len(values), values.shape[1] + 1))
+    padded[:, :-1] = values
+    weights = np.zeros((len(values), len(table)))
+    for column in table.T:
+        weights += padded[:, column]
+    return weights
 
-    def solve(mask: int) -> float:
-        known = best.get(mask)
-        if known is not None:
-            return known
-        v = (mask & -mask).bit_length() - 1  # lowest active vertex
-        result = solve(mask & (mask - 1))  # v stays unmatched
-        choice: tuple[int, int] | None = None
-        for eid, w in adj[v]:
-            if mask >> w & 1:
-                sub = mask & ~(1 << v) & ~(1 << w)
-                cand = solve(sub) + values[eid]
-                if cand > result:
-                    result = cand
-                    choice = (eid, sub)
-        best[mask] = result
-        pick[mask] = choice
-        return result
 
-    full = (1 << graph.num_vertices) - 1
-    solve(full)
-    chosen: list[int] = []
-    mask = full
-    while mask:
-        choice = pick.get(mask)
-        if choice is None:
-            mask &= mask - 1
-        else:
-            eid, sub = choice
-            chosen.append(eid)
-            mask = sub
-    return Matching.from_edges(chosen, values)
+def _table_opt(graph: Graph, vals: Sequence[float]) -> Matching:
+    """Exact optimum as the heaviest row of the graph's matching table."""
+    table = graph.matching_table
+    row = table[_table_weights(table, np.array([vals]))[0].argmax()]
+    return Matching.from_edges(row[row < graph.num_edges].tolist(), vals)
 
 
 def _blossom_opt(graph: Graph, vals: Sequence[float]) -> Matching:
     """Exact optimum by Edmonds' primal-dual blossom algorithm (any graph), O(n^3).
 
     networkx is imported here, not with the module: it costs about 130 ms and
-    10 MB at import, and only general graphs above ``DP_VERTEX_CAP`` vertices
-    need it.
+    10 MB at import, and only general graphs past ``MATCHING_TABLE_CAP``
+    matchings need it.
     """
     import networkx as nx
 
@@ -138,14 +118,30 @@ def _blossom_opt(graph: Graph, vals: Sequence[float]) -> Matching:
 def max_weight_matching(graph: Graph, values: Sequence[float]) -> Matching:
     """Exact maximum-weight matching of a graph of any size.
 
-    Bipartite graphs use the assignment solver; general graphs use subset DP
-    up to ``DP_VERTEX_CAP`` (12) vertices, where it is the fastest, and
-    Edmonds' blossom algorithm above.  Ties in total weight are broken
-    arbitrarily; only the weight is contractual.
+    Graphs with a matching table take its heaviest row; past the table's cap
+    bipartite graphs use the assignment solver and general graphs Edmonds'
+    blossom algorithm.  Ties in total weight are broken arbitrarily; only the
+    weight is contractual.
     """
     vals = _as_value_list(graph, values)
+    if graph.matching_table is not None:
+        return _table_opt(graph, vals)
     if graph.kind == "bipartite":
         return _assignment_opt(graph, vals)
-    if graph.num_vertices <= DP_VERTEX_CAP:
-        return _dp_opt(graph, vals)
     return _blossom_opt(graph, vals)
+
+
+def max_matching_weights(graph: Graph, values: np.ndarray) -> np.ndarray:
+    """The maximum matching weight under each row of a (rows, m) value array.
+
+    Each weight is the one ``max_weight_matching`` gives for that row.  A
+    graph with a matching table is solved for all rows at once, in memory
+    proportional to rows times its matchings; any other is solved row by row.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2 or values.shape[1] != graph.num_edges:
+        raise InputError(f"need rows of {graph.num_edges} edge values, got shape {values.shape}")
+    table = graph.matching_table
+    if table is None:
+        return np.array([max_weight_matching(graph, row).weight for row in values.tolist()])
+    return _table_weights(table, values).max(axis=1)

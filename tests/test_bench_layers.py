@@ -4,7 +4,8 @@
 (check layers of the bound matrix carry the model as a third part) and
 patches each function in the namespaces of its calling modules.
 ``perfbench/worker.py`` reads the real values of drawn realizations and
-expects one greedy price matching inside each online run.  A refactor that
+expects one greedy price matching inside each online run, and one order
+resolution per trial of the bound matrix.  A refactor that
 breaks any of this should fail here, not in a benchmark run.
 """
 
@@ -19,6 +20,7 @@ import pytest
 from prophet_matching import DistSpec, ExperimentConfig, complete_bipartite, draw_realization
 from prophet_matching.adversary import parse_order_spec
 from prophet_matching.harness import MODELS, estimate_ratio
+from prophet_matching import invariants
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -67,3 +69,23 @@ def test_traced_ratio_runs_one_greedy_inside_each_online_run(order):
     }
     assert greedy and all(path[-2] == online for path in greedy)
     assert sum(greedy.values()) == tracer.layer(online)[0] == config.trials
+
+
+def test_traced_bound_matrix_resolves_each_trial_once():
+    # the gate's trace self-test (perfbench/worker.py, _chain_checks) counts
+    # these spans under each model's bound matrix: one order resolution per
+    # trial, and the online algorithm, with its one greedy price matching,
+    # run under it only for the adaptive order
+    families = {"K22": complete_bipartite(2, 2, DistSpec.uniform(0.0, 1.0))}
+    trials = 6
+    for model in MODELS:
+        tracer = SPANS.Tracer("test")
+        # looked up when called, so that the call is the tracer's wrapper
+        tracer.run(lambda: invariants.competitive_bound_matrix(model, trials, 4, families))
+        matrix = (f"invariants.competitive_bound_matrix.{model}", "harness.resolve_order")
+        per_order = len(invariants.DIST_FAMILIES) * len(families) * trials
+        orders = invariants.EDGE_ORDERS if model == "edge" else invariants.BUYER_ORDERS
+        online = dict(zip(MODELS, SPANS.ONLINE_LAYERS))[model]
+        assert tracer.calls(matrix) == len(orders) * per_order
+        assert tracer.calls(matrix + (online,)) == per_order
+        assert tracer.calls(matrix + (online, "oracle.greedy_matching")) == per_order

@@ -15,6 +15,7 @@ from prophet_matching.distributions import (
     _edge_words,
     _unique_keys,
     draw_realization,
+    draw_realizations,
 )
 from prophet_matching.instances import complete_bipartite, complete_graph, path_graph
 
@@ -26,10 +27,16 @@ N_KS = 100_000
 
 
 def _draw_many(dist: DistSpec, n: int, seed: int = 7) -> np.ndarray:
-    """n independent draws of a single-edge instance's real value."""
+    """n independent draws of a single-edge instance's real value, at seeds
+    seed * n .. seed * n + n - 1, drawn in batches of 10^4."""
     spec = path_graph(2, dist)
+    seeds = range(seed * n, seed * n + n)
     return np.array(
-        [draw_realization(spec, seed * n + k).reals[0].value for k in range(n)]
+        [
+            real.real_values[0]
+            for start in range(0, n, 10_000)
+            for real in draw_realizations(spec, seeds[start : start + 10_000])
+        ]
     )
 
 
@@ -244,10 +251,122 @@ class TestStream:
         assert len(set(real.keys.tolist())) == 2 * m
 
 
+def _same_draws(a, b) -> bool:
+    """Equal values (sign of zero included), keys, order and rank."""
+    return (
+        a.values.tobytes() == b.values.tobytes()
+        and a.keys.tolist() == b.keys.tolist()
+        and a.order == b.order
+        and a.rank == b.rank
+        and a.sample_values == b.sample_values
+        and a.real_values == b.real_values
+    )
+
+
+def _mixed_family_instance() -> InstanceSpec:
+    graph = complete_bipartite(3, 5, DistSpec.uniform(0.0, 1.0)).graph
+    dists = [
+        DistSpec.uniform(0.0, 2.0),
+        DistSpec.exponential(2.0),
+        DistSpec.pareto(2.0, 3.0),
+        DistSpec.bernoulli_scaled(0.5, 1.0),
+        DistSpec.point_mass(0.25),
+        DistSpec("uniform", (1, 3)),
+        DistSpec("point_mass", (-0.0,)),
+    ]
+    return InstanceSpec(graph, tuple(dists[e % len(dists)] for e in range(graph.num_edges)))
+
+
+BATCH_SEEDS = [0, 1, 2, 77, 2024, 2**32, 2**63 + 1, 2**64 - 1, *range(1000, 1040)]
+
+
+class TestDrawRealizations:
+    @pytest.mark.parametrize("family", list(STREAM_PINS))
+    def test_equal_one_seed_draws(self, family):
+        spec, _ = STREAM_PINS[family]
+        batch = draw_realizations(spec, BATCH_SEEDS)
+        assert len(batch) == len(BATCH_SEEDS)
+        for seed, real in zip(BATCH_SEEDS, batch):
+            assert _same_draws(real, draw_realization(spec, seed))
+
+    def test_equal_one_seed_draws_mixed_families(self):
+        spec = _mixed_family_instance()
+        batch = draw_realizations(spec, np.array(BATCH_SEEDS, dtype=np.uint64))
+        for seed, real in zip(BATCH_SEEDS, batch):
+            assert _same_draws(real, draw_realization(spec, seed))
+
+    def test_no_seeds_and_no_edges(self):
+        assert draw_realizations(path_graph(3, DistSpec.uniform(0.0, 1.0)), []) == []
+        empty = InstanceSpec(general_graph(2, []), ())
+        reals = draw_realizations(empty, [4, 5])
+        assert [r.values.shape for r in reals] == [(0,), (0,)]
+
+    def test_seeds_checked_like_one_seed(self):
+        spec = path_graph(2, DistSpec.uniform(0.0, 1.0))
+        for bad in ([1, -1], [2**64], [1.5], np.array([0.5])):
+            with pytest.raises(InputError):
+                draw_realizations(spec, bad)
+
+    def test_rekeys_colliding_rows_only(self, monkeypatch):
+        # the batch form of test_draw_rekeys_colliding_draws: seed 11's
+        # digests get key words 0, so its row alone takes the re-keying path
+        spec = complete_graph(4, DistSpec.uniform(0.0, 1.0))
+        seeds = [10, 11, 12]
+        honest = draw_realizations(spec, seeds)
+        real_sha256 = hashlib.sha256
+        colliding = (11).to_bytes(8, "little")
+
+        class ZeroKeys:
+            def __init__(self, h):
+                self.h = h
+
+            def copy(self):
+                return ZeroKeys(self.h.copy())
+
+            def update(self, data):
+                self.h.update(data)
+
+            def digest(self):
+                d = self.h.digest()
+                return bytes(8) + d[8:16] + bytes(8) + d[24:]
+
+        def sha256(data=b""):
+            return ZeroKeys(real_sha256(data)) if data == colliding else real_sha256(data)
+
+        monkeypatch.setattr(distributions.hashlib, "sha256", sha256)
+        batch = draw_realizations(spec, seeds)
+        one = draw_realization(spec, 11)
+        m = spec.graph.num_edges
+
+        def rekey(d, salt):
+            u, v = spec.graph.edges[d % m]
+            return _edge_words(11, u, v, salt)[0 if d < m else 2]
+
+        assert _same_draws(batch[0], honest[0]) and _same_draws(batch[2], honest[2])
+        assert _same_draws(batch[1], one)
+        assert batch[1].values.tolist() == honest[1].values.tolist()
+        assert batch[1].keys.tolist() == TestStream._seen_set_reference([0] * (2 * m), rekey)
+        assert batch[1].order == tuple(
+            sorted(range(2 * m), key=lambda d: (-batch[1].values[d], int(batch[1].keys[d])))
+        )
+
+
+# The marginal tests' statistics, as the per-seed draw_realization loop gave
+# them: the batches draw the same values, so they must not move at all.
+MARGINAL_PINS = {
+    "uniform_mean": 0.4993863157268637,
+    "ks_uniform": 0.0020410586827201427,
+    "ks_exponential": 0.002041058682720087,
+    "ks_pareto": 0.0020410586827200317,
+    "bernoulli_rate": 0.30085,
+}
+
+
 class TestMarginals:
     def test_uniform_mean(self):
         xs = _draw_many(DistSpec.uniform(0.0, 1.0), N_KS)
         assert abs(xs.mean() - 0.5) < 0.01
+        assert xs.mean() == MARGINAL_PINS["uniform_mean"]
 
     @pytest.mark.parametrize(
         "dist,frozen",
@@ -261,6 +380,7 @@ class TestMarginals:
         xs = _draw_many(dist, N_KS)
         d_stat = stats.kstest(xs, frozen.cdf).statistic
         assert d_stat < KS_THRESHOLD
+        assert d_stat == MARGINAL_PINS[f"ks_{dist.family}"]
 
     def test_quantile_matches_cdf(self):
         for dist in (
@@ -278,6 +398,7 @@ class TestMarginals:
         assert set(np.unique(xs)) <= {0.0, v}
         rate = (xs == v).mean()
         assert abs(rate - p) < 3 * math.sqrt(p * (1 - p) / n)
+        assert rate == MARGINAL_PINS["bernoulli_rate"]
 
 
 class TestIndependence:

@@ -20,6 +20,8 @@ from prophet_matching.harness import (
     estimate_to_json,
     save_results,
     summarize,
+    trial_seed,
+    trial_seeds,
 )
 from prophet_matching.instances import (
     complete_bipartite,
@@ -274,6 +276,28 @@ class TestEstimateRatio:
             )
 
 
+class TestTrialSeeds:
+    # masters of one to three 32-bit words, at both ends of each width
+    MASTERS = (0, 1, 5, 2024, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**48 + 7,
+               2**62 + 9, 2**63 - 1, 2**63 + 5, 2**64 - 2, 2**64 - 1, 2**64, 2**80 + 3,
+               2**96 - 1, 2**96, 2**127 + 11, 2**160 + 1)
+
+    def test_equal_trial_seed_on_10_5_pairs(self):
+        trials = 100_000 // len(self.MASTERS)
+        for master in self.MASTERS:
+            got = trial_seeds(master, trials)
+            assert got.dtype == np.uint64 and got.shape == (trials,)
+            assert got.tolist() == [trial_seed(master, t) for t in range(trials)], master
+
+    def test_no_trials(self):
+        assert trial_seeds(3, 0).tolist() == []
+
+    @pytest.mark.parametrize("master,trials", [(-1, 3), (3, -1)])
+    def test_negative_rejected(self, master, trials):
+        with pytest.raises(InputError):
+            trial_seeds(master, trials)
+
+
 class TestCli:
     def _gen(self, tmp_path, graph="complete:4", dist="uniform:0,1"):
         out = tmp_path / "inst.json"
@@ -368,7 +392,7 @@ class TestCli:
 
 class TestInvariantSuitePlumbing:
     def test_micro_suite_runs_and_passes(self):
-        from prophet_matching.invariants import SuiteConfig, run_invariant_suite
+        from prophet_matching.invariants import SuiteConfig, report_to_csv, run_invariant_suite
 
         config = SuiteConfig(
             coupling_instances=25,
@@ -379,9 +403,13 @@ class TestInvariantSuitePlumbing:
             audit_misreports=10,
             maximality_runs=20,
             point_mass_trials=400,
-            chain_dists=("uniform",),
+            chain_dists=("uniform", "pareto", "bernoulli"),
         )
         report = run_invariant_suite(config)
+        # every margin and detail, pinned from the per-trial loops the
+        # batched checks replaced: batching must not move one byte
+        digest = hashlib.sha256(report_to_csv(report).encode()).hexdigest()
+        assert digest == "a5c15c208dea8be925c2437c6bcb42b9fb27f789a7a432c53c922a71b3c86500"
         names = [r.name for r in report.results]
         assert any(n == "edge_coupling" for n in names)
         assert any(n.startswith("bound[truthful") for n in names)
