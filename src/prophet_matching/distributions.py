@@ -216,7 +216,10 @@ def _quantiles(family: str, u: np.ndarray, args) -> np.ndarray:
             values = -_libm(math.log1p, -u) / rate
         else:
             scale, power = args
-            values = scale * _libm(pow, 1.0 - u, np.broadcast_to(power, u.shape))
+            try:
+                values = scale * _libm(pow, 1.0 - u, np.broadcast_to(power, u.shape))
+            except OverflowError:  # Python's pow raises where numpy's gives inf
+                raise InputError("drawn value inf is negative or not finite") from None
     if values.size and values.max() == math.inf:
         raise InputError("drawn value inf is negative or not finite")
     return values

@@ -1,9 +1,12 @@
 """Monte Carlo experiment runner: competitive-ratio estimation and persistence.
 
 Each trial derives its own seed from the master seed and the trial index, so
-results are reproducible bit-for-bit and independent of execution order.  The
-reported ratio is the ratio of means (expected optimum over expected online
-weight); the mean of per-trial ratios is kept only as a diagnostic.
+results are reproducible bit-for-bit and independent of execution order.
+``trial_batches`` is the one trial path: it draws and solves a config's
+trials a chunk at a time, for ``estimate_ratio`` and for the invariant
+suite's bound checks alike.  The reported ratio is the ratio of means
+(expected optimum over expected online weight); the mean of per-trial ratios
+is kept only as a diagnostic.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from .adversary import OrderStrategy, make_controller, static_order
-from .core import CapabilityError, InputError, RunRecord
-from .distributions import InstanceSpec, draw_realization
+from .core import CapabilityError, Graph, InputError, RunRecord
+from .distributions import InstanceSpec, draw_realizations
 from .edge_arrival import run_online_edge
-from .oracle import max_weight_matching
+from .oracle import _table_weights, max_weight_matching
 from .truthful import run_truthful
 from .vertex_arrival import build_safe_matching, run_online_vertex
 
@@ -231,25 +234,72 @@ def summarize(rows: list[TrialRow]) -> RatioEstimate:
     )
 
 
-def run_trial(config: ExperimentConfig, trial: int) -> TrialRow:
-    """Run one seeded trial of the configured model and measure it."""
-    spec = config.instance
-    seed = trial_seed(config.master_seed, trial)
-    real = draw_realization(spec, seed)
-    _, record = _online_trial(config.strategy, config.model, spec, real, seed)
-    safe_weight = None
-    if config.model == "vertex":
-        safe_weight = build_safe_matching(spec.graph, record.feasible, real).weight
-    opt = max_weight_matching(spec.graph, real.real_values)
-    return TrialRow(
-        trial=trial,
-        seed=seed,
-        matching_weight=record.matching.weight,
-        opt_weight=opt.weight,
-        sample_matching_weight=record.sample_matching.weight,
-        feasible_weight=record.feasible_weight,
-        safe_matching_weight=safe_weight,
-    )
+# Trials are drawn and solved a chunk at a time, with at most this many
+# elements per chunk: trials times the 2m draws plus the graph's
+# matching-table rows.  On the quick suite, chunks of 16 to 400 trials take
+# the same time, and the larger ones raise the peak memory.
+BATCH_ELEMENTS = 1 << 12
+
+
+def trial_chunks(spec: InstanceSpec, master_seed: int, trials: int):
+    """Trials 0 .. trials-1 in chunks: (first trial, seeds, realizations).
+
+    Trial t's seed is ``trial_seed(master_seed, t)`` and its realization the
+    one ``draw_realization`` gives at that seed.
+    """
+    table = spec.graph.matching_table
+    per_trial = 2 * spec.graph.num_edges + (0 if table is None else len(table))
+    size = max(1, BATCH_ELEMENTS // per_trial)
+    seeds = trial_seeds(master_seed, trials)
+    for start in range(0, trials, size):
+        chunk = seeds[start : start + size]
+        yield start, chunk.tolist(), draw_realizations(spec, chunk)
+
+
+def max_matching_weights(graph: Graph, values: np.ndarray) -> np.ndarray:
+    """The maximum matching weight under each row of a (rows, m) value array.
+
+    Each weight is the one ``max_weight_matching`` gives for that row.  A
+    graph with a matching table is solved for all rows at once, in memory
+    proportional to rows times its matchings; any other is solved row by row.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2 or values.shape[1] != graph.num_edges:
+        raise InputError(f"need rows of {graph.num_edges} edge values, got shape {values.shape}")
+    table = graph.matching_table
+    if table is None:
+        return np.array([max_weight_matching(graph, row).weight for row in values.tolist()])
+    return _table_weights(table, values).max(axis=1)
+
+
+def trial_batches(config: ExperimentConfig):
+    """The config's trials a chunk at a time: (realizations, rows) per chunk.
+
+    Each row measures one seeded trial: its online run, the vertex model's
+    safe matching taken from that run's feasible set, and the exact optimum
+    of its real values, solved for the whole chunk at once.
+    """
+    spec, model, strategy = config.instance, config.model, config.strategy
+    for start, seeds, reals in trial_chunks(spec, config.master_seed, config.trials):
+        opts = max_matching_weights(spec.graph, [real.real_values for real in reals]).tolist()
+        rows = []
+        for t, (seed, real, opt) in enumerate(zip(seeds, reals, opts), start):
+            _, record = _online_trial(strategy, model, spec, real, seed)
+            safe_weight = None
+            if model == "vertex":
+                safe_weight = build_safe_matching(spec.graph, record.feasible, real).weight
+            rows.append(
+                TrialRow(
+                    trial=t,
+                    seed=seed,
+                    matching_weight=record.matching.weight,
+                    opt_weight=opt,
+                    sample_matching_weight=record.sample_matching.weight,
+                    feasible_weight=record.feasible_weight,
+                    safe_matching_weight=safe_weight,
+                )
+            )
+        yield reals, rows
 
 
 def estimate_ratio(config: ExperimentConfig) -> RatioEstimate:
@@ -258,8 +308,7 @@ def estimate_ratio(config: ExperimentConfig) -> RatioEstimate:
     Deterministic given the config; trials are aggregated in index order so
     the output does not depend on how they were scheduled.
     """
-    rows = [run_trial(config, t) for t in range(config.trials)]
-    return summarize(rows)
+    return summarize([row for _, rows in trial_batches(config) for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +373,8 @@ def save_results(result, path: str | Path, fmt: str = "csv"):
     """Write a RatioEstimate or an invariant-suite report to disk."""
     from .invariants import SuiteReport, report_to_csv, report_to_json
 
+    if fmt not in ("csv", "json"):
+        raise InputError(f"unknown format {fmt!r}; use csv or json")
     if isinstance(result, RatioEstimate):
         text = estimate_to_csv(result) if fmt == "csv" else estimate_to_json(result)
     elif isinstance(result, SuiteReport):

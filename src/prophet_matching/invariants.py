@@ -14,20 +14,25 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .adversary import OrderStrategy
 from .core import Graph, InputError, validate_matching
-from .distributions import (
-    DistSpec,
-    InstanceSpec,
-    _edge_words,
-    draw_realization,
-    draw_realizations,
-)
+from .distributions import DistSpec, InstanceSpec, _edge_words, draw_realization
 from .edge_arrival import _records_agree, run_offline_edge, run_online_edge
+from .harness import (
+    ExperimentConfig,
+    estimate_ratio,
+    estimate_to_csv,
+    max_matching_weights,
+    summarize,
+    trial_batches,
+    trial_chunks,
+    trial_seeds,
+)
 from .instances import (
     complete_bipartite,
     complete_graph,
@@ -36,7 +41,7 @@ from .instances import (
     instance_to_dict,
     star_graph,
 )
-from .oracle import greedy_matching, max_matching_weights, max_weight_matching
+from .oracle import greedy_matching, max_weight_matching
 from .truthful import maximality_check, misreport_audit, run_truthful
 from .vertex_arrival import run_offline_vertex, run_online_vertex
 
@@ -297,39 +302,6 @@ def check_greedy_two_approx(instances: int = 500, seed: int = 103) -> InvariantR
 
 
 # ---------------------------------------------------------------------------
-# batched trials
-
-# The seeded checks below draw and solve their trials a chunk at a time, with
-# at most this many elements per chunk: trials times the 2m draws plus the
-# graph's matching-table rows.  On the quick suite, chunks of 16 to 400
-# trials take the same time, and the larger ones raise the peak memory.
-BATCH_ELEMENTS = 1 << 12
-
-
-def _trial_chunks(spec: InstanceSpec, seed: int, trials: int):
-    """Trials 0 .. trials-1 in chunks: (first trial, seeds, realizations).
-
-    Trial t's seed is ``trial_seed(seed, t)`` and its realization the one
-    ``draw_realization`` gives at that seed.
-    """
-    from .harness import trial_seeds
-
-    table = spec.graph.matching_table
-    per_trial = 2 * spec.graph.num_edges + (0 if table is None else len(table))
-    size = max(1, BATCH_ELEMENTS // per_trial)
-    seeds = trial_seeds(seed, trials)
-    for start in range(0, trials, size):
-        chunk = seeds[start : start + size]
-        yield start, chunk.tolist(), draw_realizations(spec, chunk)
-
-
-def _trials(spec: InstanceSpec, seed: int, trials: int):
-    """Each trial index with its realization, drawn a chunk at a time."""
-    for start, _, reals in _trial_chunks(spec, seed, trials):
-        yield from enumerate(reals, start)
-
-
-# ---------------------------------------------------------------------------
 # competitive-ratio bounds
 
 
@@ -341,52 +313,36 @@ def check_bound(
     trials: int,
     seed: int,
     label: str,
-    check_greedy: bool = True,
 ) -> InvariantResult:
     """Certify bound * E[w(alg)] >= E[w(OPT)] on one instance/order config.
 
     Also exactly checks the greedy 2-approximation on the sample values of
     every trial (the per-realization guarantee the prices rely on).
     """
-    from .harness import _online_trial
-
-    graph = spec.graph
-    alg = np.empty(trials)
-    opt = np.empty(trials)
-    sample_w = np.empty(trials)
-    opt_s = np.empty(trials)
-    for start, seeds, reals in _trial_chunks(spec, seed, trials):
-        for t, (s, real) in enumerate(zip(seeds, reals), start):
-            _, record = _online_trial(strategy, model, spec, real, s)
-            alg[t] = record.matching.weight
-            sample_w[t] = record.sample_matching.weight
-        done = slice(start, start + len(reals))
-        opt[done] = max_matching_weights(graph, [real.real_values for real in reals])
-        if check_greedy:
-            opt_s[done] = max_matching_weights(graph, [real.sample_values for real in reals])
-    greedy_violations = 0
-    greedy_min_slack = math.inf
-    if check_greedy:
-        slack = 2.0 * sample_w - opt_s
-        greedy_violations = int(np.count_nonzero(slack < 0))
-        greedy_min_slack = float(slack.min(initial=math.inf))
-    diffs = bound * alg - opt
-    mean_opt = float(opt.mean())
-    se_opt = float(opt.std(ddof=1) / math.sqrt(trials))
+    config = ExperimentConfig(spec, model, strategy, trials, seed)
+    rows, opt_s = [], []
+    for reals, chunk in trial_batches(config):
+        rows += chunk
+        opt_s += max_matching_weights(spec.graph, [real.sample_values for real in reals]).tolist()
+    est = summarize(rows)
+    alg = np.array([r.matching_weight for r in rows])
+    opt = np.array([r.opt_weight for r in rows])
+    slack = 2.0 * np.array([r.sample_matching_weight for r in rows]) - opt_s
+    greedy_violations = int(np.count_nonzero(slack < 0))
     result = _paired_result(
         f"bound[{label}]",
-        diffs,
+        bound * alg - opt,
         detail=(
-            f"E[opt]={mean_opt:.4f} E[alg]={alg.mean():.4f} "
-            f"ratio={mean_opt / alg.mean():.3f} vs bound {bound:g}"
+            f"E[opt]={est.mean_opt:.4f} E[alg]={est.mean_alg:.4f} "
+            f"ratio={est.ratio:.3f} vs bound {bound:g}"
         ),
         data={
             "bound": bound,
-            "mean_alg": float(alg.mean()),
-            "mean_opt": mean_opt,
-            "se_opt_over_mean": se_opt / mean_opt if mean_opt else math.nan,
+            "mean_alg": est.mean_alg,
+            "mean_opt": est.mean_opt,
+            "se_opt_over_mean": est.se_opt / est.mean_opt if est.mean_opt else math.nan,
             "greedy_violations": greedy_violations,
-            "greedy_min_slack": greedy_min_slack,
+            "greedy_min_slack": float(slack.min()),
         },
     )
     if greedy_violations:
@@ -444,26 +400,27 @@ def check_edge_chain(
     n_considered = np.empty(trials)
     n_lead_feasible = np.empty(trials)
     n_safe = np.empty(trials)
-    for t, real in _trials(spec, seed, trials):
-        order = [int(x) for x in rng_orders.permutation(m)]
-        trace = run_offline_edge(spec, real, order)
-        feas = frozenset(trace.record.feasible)
-        reals = trace.realization.real_values
-        lead = 0.0
-        feasible_leads = 0
-        for v in trace.considered_vertices:
-            e = trace.first_edge[v]
-            if e in feas:
-                lead += reals[e]
-                feasible_leads += 1
-        safe_val = sum(reals[trace.first_edge[v]] for v in trace.safe)
-        lead_sum[t] = lead
-        ms_w[t] = trace.record.sample_matching.weight
-        safe_sum[t] = safe_val
-        match_w[t] = trace.record.matching.weight
-        n_considered[t] = len(trace.considered_vertices)
-        n_lead_feasible[t] = feasible_leads
-        n_safe[t] = len(trace.safe)
+    for start, _, reals in trial_chunks(spec, seed, trials):
+        for t, real in enumerate(reals, start):
+            order = [int(x) for x in rng_orders.permutation(m)]
+            trace = run_offline_edge(spec, real, order)
+            feas = frozenset(trace.record.feasible)
+            values = trace.realization.real_values
+            lead = 0.0
+            feasible_leads = 0
+            for v in trace.considered_vertices:
+                e = trace.first_edge[v]
+                if e in feas:
+                    lead += values[e]
+                    feasible_leads += 1
+            safe_val = sum(values[trace.first_edge[v]] for v in trace.safe)
+            lead_sum[t] = lead
+            ms_w[t] = trace.record.sample_matching.weight
+            safe_sum[t] = safe_val
+            match_w[t] = trace.record.matching.weight
+            n_considered[t] = len(trace.considered_vertices)
+            n_lead_feasible[t] = feasible_leads
+            n_safe[t] = len(trace.safe)
     results = [
         _paired_result(f"edge_chain/leading_vs_sample[{label}]", lead_sum - ms_w),
         _paired_result(f"edge_chain/safe_quarter[{label}]", safe_sum - 0.25 * lead_sum),
@@ -498,27 +455,24 @@ def check_coin_fairness(
     is exactly a fair coin: each edge's coin is one bit of a hash of its
     endpoints under a per-trial coin seed.
     """
-    from .harness import trial_seeds
-
     edges = spec.graph.edges
     rng_orders = np.random.default_rng(np.random.SeedSequence([seed, 778]))
     m = spec.graph.num_edges
     num = np.empty(trials)
     den = np.empty(trials)
     coin_seeds = trial_seeds(seed ^ 0xC0FFEE, trials).tolist()
-    for t, real in _trials(spec, seed, trials):
-        order = [int(x) for x in rng_orders.permutation(m)]
-        coin_seed = coin_seeds[t]
+    for start, _, reals in trial_chunks(spec, seed, trials):
+        for t, real in enumerate(reals, start):
+            order = [int(x) for x in rng_orders.permutation(m)]
+            coin_seed = coin_seeds[t]
 
-        def heads(e: int) -> bool:
-            return bool(_edge_words(coin_seed, *edges[e], _COIN_SALT)[0] & 1)
+            def heads(e: int) -> bool:
+                return bool(_edge_words(coin_seed, *edges[e], _COIN_SALT)[0] & 1)
 
-        trace = run_offline_edge(spec, real, order, coins=heads)
-        feas = frozenset(trace.record.feasible)
-        den[t] = len(trace.considered_vertices)
-        num[t] = sum(
-            1 for v in trace.considered_vertices if trace.first_edge[v] in feas
-        )
+            trace = run_offline_edge(spec, real, order, coins=heads)
+            feas = frozenset(trace.record.feasible)
+            den[t] = len(trace.considered_vertices)
+            num[t] = sum(1 for v in trace.considered_vertices if trace.first_edge[v] in feas)
     p, se = _ratio_se(num, den)
     return InvariantResult(
         name=f"edge_chain/coin_fairness[{label}]",
@@ -550,7 +504,7 @@ def check_vertex_chain(
     match_w = np.empty(trials)
     opt_w = np.empty(trials)
     sandwich_failures = 0
-    for start, _, reals in _trial_chunks(spec, seed, trials):
+    for start, _, reals in trial_chunks(spec, seed, trials):
         for t, real in enumerate(reals, start):
             order = [buyers[int(x)] for x in rng_orders.permutation(len(buyers))]
             trace = run_offline_vertex(spec, real, order)
@@ -656,11 +610,8 @@ def check_single_edge_point_mass(trials: int = 10_000, seed: int = 106) -> Invar
     0.5 +/- 0.015 at 10^4 trials (3 sigma).
     """
     spec = star_graph(1, DistSpec.point_mass(1.0))
-    accepted = 0
-    for _, real in _trials(spec, seed, trials):
-        record = run_online_edge(spec, real, [0])
-        accepted += 1 if record.matching.edges else 0
-    rate = accepted / trials
+    fixed = OrderStrategy(kind="fixed", order=(0,))
+    rate = estimate_ratio(ExperimentConfig(spec, "edge", fixed, trials, seed)).mean_alg
     tol = 3.0 * 0.5 / math.sqrt(trials)
     return InvariantResult(
         name="single_edge_point_mass",
@@ -674,8 +625,6 @@ def check_single_edge_point_mass(trials: int = 10_000, seed: int = 106) -> Invar
 
 def check_determinism_roundtrip(seed: int = 107) -> InvariantResult:
     """Identical configs give byte-identical CSV; instances round-trip exactly."""
-    from .harness import ExperimentConfig, estimate_ratio, estimate_to_csv
-
     spec = complete_graph(4, DistSpec.uniform(0.0, 1.0))
     config = ExperimentConfig(
         instance=spec,
@@ -722,8 +671,18 @@ class SuiteConfig:
     chain_dists: tuple[str, ...] = ("uniform", "pareto", "bernoulli")
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise InputError("suite seed must be a non-negative integer")
+        for name in (f.name for f in fields(self) if f.name != "chain_dists"):
+            try:
+                value = operator.index(getattr(self, name))
+            except TypeError:
+                raise InputError(f"{name} must be an integer") from None
+            least = 0 if name == "seed" else 1
+            if value < least:
+                raise InputError(f"{name} must be at least {least}")
+            object.__setattr__(self, name, value)
+        unknown = [name for name in self.chain_dists if name not in DIST_FAMILIES]
+        if unknown:
+            raise InputError(f"unknown chain_dists {unknown}; known: {', '.join(DIST_FAMILIES)}")
 
     @classmethod
     def quick(cls) -> "SuiteConfig":

@@ -10,7 +10,6 @@ one of three paths:
 - a graph with at most ``MATCHING_TABLE_CAP`` matchings is solved from its
   ``Graph.matching_table``: every matching's weight is summed in edge-id
   order, as ``matching_weight`` sums it, and the largest is the optimum;
-  ``max_matching_weights`` does this for many value vectors at once;
 - other bipartite graphs go to the assignment solver;
 - other general graphs go to Edmonds' blossom algorithm.
 """
@@ -129,19 +128,3 @@ def max_weight_matching(graph: Graph, values: Sequence[float]) -> Matching:
     if graph.kind == "bipartite":
         return _assignment_opt(graph, vals)
     return _blossom_opt(graph, vals)
-
-
-def max_matching_weights(graph: Graph, values: np.ndarray) -> np.ndarray:
-    """The maximum matching weight under each row of a (rows, m) value array.
-
-    Each weight is the one ``max_weight_matching`` gives for that row.  A
-    graph with a matching table is solved for all rows at once, in memory
-    proportional to rows times its matchings; any other is solved row by row.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2 or values.shape[1] != graph.num_edges:
-        raise InputError(f"need rows of {graph.num_edges} edge values, got shape {values.shape}")
-    table = graph.matching_table
-    if table is None:
-        return np.array([max_weight_matching(graph, row).weight for row in values.tolist()])
-    return _table_weights(table, values).max(axis=1)

@@ -17,7 +17,14 @@ from pathlib import Path
 
 import pytest
 
-from prophet_matching import DistSpec, ExperimentConfig, complete_bipartite, draw_realization
+from prophet_matching import (
+    DistSpec,
+    ExperimentConfig,
+    OrderStrategy,
+    complete_bipartite,
+    complete_graph,
+    draw_realization,
+)
 from prophet_matching.adversary import parse_order_spec
 from prophet_matching.harness import MODELS, estimate_ratio
 from prophet_matching import invariants
@@ -69,6 +76,27 @@ def test_traced_ratio_runs_one_greedy_inside_each_online_run(order):
     }
     assert greedy and all(path[-2] == online for path in greedy)
     assert sum(greedy.values()) == tracer.layer(online)[0] == config.trials
+
+
+@pytest.mark.parametrize(
+    "model,spec",
+    [
+        ("edge", complete_graph(10, DistSpec.uniform(0.0, 1.0))),
+        ("vertex", complete_bipartite(5, 6, DistSpec.uniform(0.0, 1.0))),
+    ],
+    ids=["edge-K10", "vertex-K5,6"],
+)
+def test_traced_ratio_solves_each_trial_once_past_the_table_cap(model, spec):
+    # the ratio workloads' trace self-test (perfbench/worker.py, _chain_checks)
+    # counts these spans directly under the call: one exact solve and one
+    # static order per trial.  Past the table's cap the solve is one
+    # max_weight_matching call per trial, bound where the tracer patches it
+    assert spec.graph.matching_table is None
+    config = ExperimentConfig(spec, model, OrderStrategy(kind="random"), trials=7, master_seed=3)
+    tracer = SPANS.Tracer("test")
+    tracer.run(estimate_ratio, config)
+    assert tracer.calls(("oracle.max_weight_matching",)) == config.trials
+    assert tracer.calls(("harness.resolve_order", "adversary.static_order")) == config.trials
 
 
 def test_traced_bound_matrix_resolves_each_trial_once():

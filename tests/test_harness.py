@@ -144,6 +144,9 @@ class TestEstimateRatio:
              "553aa320509595abe47d8e600c0c0eaddf5ecd92316e977ebdf3b0ef4efb8a40"),
             ("truthful", "K36", "random",
              "9c2c064b80c87a04e24bd9f52c56442f330437e054659e26cbd0f959be698ea4"),
+            # past the matching table's cap: one blossom call per trial
+            ("edge", "K12", "random",
+             "14d84592d893c6a96ad315dec54e763c8b9b400e26d50e770ab2febe3f26a3e8"),
         ],
     )
     def test_csv_bytes_pinned(self, model, graph, order, digest):
@@ -152,6 +155,7 @@ class TestEstimateRatio:
             "K6": complete_graph(6, dist),
             "K44": complete_bipartite(4, 4, dist),
             "K36": complete_bipartite(3, 6, dist),
+            "K12": complete_graph(12, dist),
         }[graph]
         config = ExperimentConfig(
             instance=spec,
@@ -162,6 +166,39 @@ class TestEstimateRatio:
         )
         text = estimate_to_csv(estimate_ratio(config))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("elements", [1, 1 << 20])
+    def test_chunk_size_moves_no_byte(self, monkeypatch, elements):
+        # at the default size both configs take two chunks; one trial per
+        # chunk and one chunk for every trial must give the same bytes
+        from prophet_matching import harness
+        from prophet_matching.invariants import check_bound
+
+        dist = DistSpec.uniform(0.0, 1.0)
+        config = ExperimentConfig(
+            complete_bipartite(3, 4, dist), "vertex", parse_order_spec("adaptive:starve-items"),
+            trials=60, master_seed=5,
+        )
+        bound_args = (
+            complete_graph(6, dist), "edge", OrderStrategy(kind="random"), 16.0, 60, 9, "K6"
+        )
+        want = estimate_to_csv(estimate_ratio(config)), check_bound(*bound_args)
+        monkeypatch.setattr(harness, "BATCH_ELEMENTS", elements)
+        assert (estimate_to_csv(estimate_ratio(config)), check_bound(*bound_args)) == want
+
+    def test_save_results_rejects_unknown_format(self, tmp_path):
+        from prophet_matching.invariants import InvariantResult, SuiteReport
+
+        estimate = estimate_ratio(
+            ExperimentConfig(complete_graph(3, DistSpec.uniform(0, 1)), "edge",
+                             OrderStrategy(kind="random"), trials=3, master_seed=1)
+        )
+        report = SuiteReport(results=(InvariantResult("x", "exact", True, 0.5, "fine"),))
+        for result in (estimate, report):
+            out = tmp_path / "out.xml"
+            with pytest.raises(InputError):
+                save_results(result, out, "xml")
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "model,order",
@@ -417,6 +454,31 @@ class TestInvariantSuitePlumbing:
         for r in report.results:
             if r.kind == "exact":
                 assert r.passed, r
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("seed", 1.5),
+            ("seed", -1),
+            ("bound_trials", -2),
+            ("bound_trials", 0),
+            ("point_mass_trials", 0),
+            ("chain_trials", "10"),
+            ("audit_misreports", 2.0),
+            ("chain_dists", ("gauss",)),
+        ],
+    )
+    def test_suite_config_rejects_bad_values(self, field, value):
+        from prophet_matching.invariants import SuiteConfig
+
+        with pytest.raises(InputError):
+            SuiteConfig(**{field: value})
+
+    def test_suite_config_takes_integer_likes(self):
+        from prophet_matching.invariants import SuiteConfig
+
+        config = SuiteConfig(seed=np.uint64(0), bound_trials=np.int64(3))
+        assert type(config.seed) is int and type(config.bound_trials) is int
 
     def test_report_serialization(self):
         from prophet_matching.invariants import (

@@ -28,13 +28,13 @@ from prophet_matching.invariants import (
     edge_families,
     random_small_instance,
 )
+from prophet_matching.harness import max_matching_weights
 from prophet_matching.oracle import (
     _assignment_opt,
     _blossom_opt,
     _table_opt,
     _table_weights,
     greedy_matching,
-    max_matching_weights,
     max_weight_matching,
 )
 
