@@ -9,6 +9,7 @@ run.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,13 @@ class OrderStrategy:
     def __post_init__(self):
         if self.kind not in ("fixed", "random", "dec", "inc", "adaptive"):
             raise InputError(f"unknown order kind {self.kind!r}")
+        try:
+            if self.seed is not None:
+                object.__setattr__(self, "seed", operator.index(self.seed))
+            if self.order is not None:
+                object.__setattr__(self, "order", tuple(map(operator.index, self.order)))
+        except TypeError:
+            raise InputError("order seed and order ids must be integers") from None
         if self.seed is not None and self.seed < 0:
             raise InputError("order seed must be a non-negative integer")
         if self.kind == "fixed" and self.order is None:

@@ -271,6 +271,15 @@ def draw_realizations(spec: InstanceSpec, seeds) -> list[Realization]:
     (seeds x 2m) array, and ``sort_draws`` orders every row at once, so each
     realization equals the one its seed draws alone.
     """
+    return draw_batch(spec, seeds)[2]
+
+
+def draw_batch(spec: InstanceSpec, seeds) -> tuple[np.ndarray, np.ndarray, list[Realization]]:
+    """``draw_realizations`` with the arrays its realizations are built from.
+
+    Returns the (seeds, 2m) value and rank arrays, row t holding the
+    ``values`` and ``rank`` of seed t's realization, and the realizations.
+    """
     seeds = _check_seeds(seeds)
     tails, groups = spec._draw_plan
     n, m = len(seeds), len(tails)
@@ -300,9 +309,13 @@ def draw_realizations(spec: InstanceSpec, seeds) -> list[Realization]:
         keys[t] = _unique_keys(keys[t], rekey)
         order[t], rank[t], _ = sort_draws(values[t : t + 1], keys[t : t + 1])
     flat, orders, ranks = values.tolist(), order.tolist(), rank.tolist()
-    return [
+    reals = [
         Realization._presorted(values[t], keys[t], orders[t], ranks[t], flat[t]) for t in range(n)
     ]
+    # read-only, as each realization's own arrays are: its values are a row view
+    values.setflags(write=False)
+    rank.setflags(write=False)
+    return values, rank, reals
 
 
 def draw_realization(spec: InstanceSpec, seed: int) -> Realization:

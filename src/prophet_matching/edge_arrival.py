@@ -9,6 +9,13 @@ of the sample that set it.  The arrival loop is the one the vertex-arrival
 algorithm and the truthful mechanism run too; each model supplies only the
 edge an arrival acts on.
 
+``_static_batch`` runs the same three models over a chunk of trials at once
+when every arrival order is fixed in advance: the greedy sample prices, the
+feasible set and the conflict pass become lockstep numpy steps over
+(trials, m) arrays, and each weight is summed in edge-id order, so every
+trial's edge sets and weights are bit-equal to this loop's.  Adaptive
+orders, which react to the run, take the loop.
+
 The offline twin replays the same outcome as a single greedy-style scan over
 all 2m draws (both copies of every edge) in the realization's ``order``,
 routing each edge's first considered copy to either the feasible set or the
@@ -22,7 +29,9 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .core import (
     AlgorithmView,
@@ -146,6 +155,178 @@ def _drive_arrivals(spec: InstanceSpec, real: Realization, order, elements, noun
         feasible_weight=matching_weight(feasible, real.real_values),
         prices=prices,
         events=tuple(events),
+    )
+
+
+class StaticRuns(NamedTuple):
+    """The online runs of a chunk of trials, row t for trial t.
+
+    Each edge set is a (trials, m) boolean mask, and each weight a (trials,)
+    array summed as ``matching_weight`` sums it: from 0.0, in edge-id order.
+    ``safe`` is the vertex model's safe matching (``build_safe_matching`` of
+    the feasible set), None for the other models.
+    """
+
+    matching: np.ndarray
+    sample_matching: np.ndarray
+    feasible: np.ndarray
+    safe: np.ndarray | None
+    matching_weight: np.ndarray
+    sample_matching_weight: np.ndarray
+    feasible_weight: np.ndarray
+    safe_weight: np.ndarray | None
+
+
+def _edge_sums(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each row's sum of ``values`` over the edges of ``mask``, as ``matching_weight``."""
+    total = np.zeros(len(mask))
+    if mask.shape[1]:
+        # an accumulation adds left to right; adding it to 0.0 then gives the
+        # sum from 0.0, which differs only in the sign of a zero
+        total += np.where(mask, values, 0.0).cumsum(axis=1)[:, -1]
+    return total
+
+
+def _padded(groups: Sequence[Sequence[int]], m: int) -> np.ndarray:
+    """Groups of edge ids as the rows of one array, padded with m (no edge)."""
+    out = np.full((len(groups), max([1, *map(len, groups)])), m, dtype=np.intp)
+    for g, edges in enumerate(groups):
+        out[g, : len(edges)] = edges
+    return out
+
+
+def _least(groups: np.ndarray, edge_rank: np.ndarray) -> np.ndarray:
+    """Per trial and row of ``_padded`` groups, the edge of least rank, or m if
+    no rank is below 2m.  ``edge_rank`` is (trials, m + 1), 2m in column m."""
+    m = edge_rank.shape[1] - 1
+    cand = edge_rank[:, groups]
+    best = groups[np.arange(len(groups)), cand.argmin(axis=2)]
+    return np.where(cand.min(axis=2) < 2 * m, best, m)
+
+
+def _mask(edges: np.ndarray, m: int) -> np.ndarray:
+    """The (trials, m) mask of the edge ids in each row of ``edges``; m is no edge."""
+    mask = np.zeros((len(edges), m + 1), dtype=bool)
+    mask[np.arange(len(edges))[:, None], edges] = True
+    return mask[:, :m]
+
+
+def _scan(graph: Graph, order: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """Per trial, the edges taken by scanning its row of ``order``: each edge
+    of ``allowed`` whose endpoints are both still free.
+
+    ``order`` is (trials, steps) edge ids, where m is no edge; ``allowed`` is
+    a (trials, m) mask.  The steps run in lockstep over all trials, on flat
+    indices into the trials' vertex and edge arrays.
+    """
+    n, m = graph.num_vertices, graph.num_edges
+    trials = len(order)
+    # edge m joins an extra vertex n to itself and is never allowed
+    ends = np.vstack((np.array(graph.edges, dtype=np.intp).reshape(m, 2), (n, n)))
+    at = np.arange(trials)[:, None]
+    firsts = (at * (n + 1) + ends[order, 0]).T.copy()
+    seconds = (at * (n + 1) + ends[order, 1]).T.copy()
+    steps = (at * (m + 1) + order).T.copy()
+    ok = np.hstack((allowed, np.zeros((trials, 1), dtype=bool))).ravel()
+    used = np.zeros(trials * (n + 1), dtype=bool)
+    taken = np.zeros(trials * (m + 1), dtype=bool)
+    for a, b, e in zip(firsts, seconds, steps):
+        used_a, used_b = used[a], used[b]
+        take = ok[e] & ~(used_a | used_b)
+        taken[e] = take
+        used[a] = used_a | take
+        used[b] = used_b | take
+    return taken.reshape(trials, m + 1)[:, :m]
+
+
+def _static_batch(
+    model: str, graph: Graph, values: np.ndarray, rank: np.ndarray, orders: np.ndarray
+) -> StaticRuns:
+    """The online runs of a chunk of trials whose arrival orders are fixed.
+
+    Row t of the (trials, 2m) ``values`` and ``rank`` is trial t's
+    realization (``Realization.values`` and ``rank``), and row t of
+    ``orders`` its arrival order: a permutation of the edge ids, or of the
+    buyer ids for the vertex and truthful models.  Each row's run is the one
+    ``_drive_arrivals`` makes with the model's ``choose``, its steps taken
+    for every trial at once:
+
+    - the greedy sample matching, a ``_scan`` in sample-rank order, prices
+      each matched vertex with the rank of its edge's sample, and every
+      other vertex with 2m, which every draw outranks;
+    - an edge clears the prices when its real draw outranks both endpoint
+      prices.  The edge model's feasible set is every such edge, and the
+      vertex model's holds each buyer's best-ranked clearing edge;
+    - the conflict pass is a ``_scan`` of the feasible edges in arrival
+      order.  A truthful buyer instead takes the clearing edge to a free
+      item of highest surplus over its price, ties broken by rank, one
+      lockstep step per buyer; every edge it takes is accepted, so its
+      feasible set is its matching.
+    """
+    n, m = graph.num_vertices, graph.num_edges
+    trials = len(values)
+    rows = np.arange(trials)
+    u, v = np.array(graph.edges, dtype=np.intp).reshape(m, 2).T
+    real_rank = rank[:, m:]
+
+    sample = _scan(graph, rank[:, :m].argsort(axis=1), np.ones((trials, m), dtype=bool))
+    price = np.full((trials, n), 2 * m, dtype=rank.dtype)
+    price_value = np.zeros((trials, n))
+    t, e = np.nonzero(sample)
+    for x in (u[e], v[e]):
+        price[t, x] = rank[t, e]
+        price_value[t, x] = values[t, e]
+    clears = (real_rank < price[:, u]) & (real_rank < price[:, v])
+
+    safe = None
+    if model == "edge":
+        feasible = clears
+        matching = _scan(graph, orders, feasible)
+    else:
+        # column m stands for "no edge": it never clears, ranks 2m, and its
+        # item, the extra vertex n, is never free
+        no_edge = np.zeros((trials, 1), dtype=bool)
+        clears = np.hstack((clears, no_edge))
+        real_rank = np.hstack((real_rank, np.full((trials, 1), 2 * m, dtype=rank.dtype)))
+        place = np.zeros(n, dtype=np.intp)
+        place[list(graph.buyers)] = np.arange(len(graph.buyers))
+        by_buyer = _padded([graph.incident[i] for i in graph.buyers], m)
+        if model == "vertex":
+            best = _least(by_buyer, np.where(clears, real_rank, 2 * m))
+            feasible = _mask(best, m)
+            matching = _scan(graph, best[rows[:, None], place[orders]], feasible)
+            by_item = _padded([graph.incident[j] for j in graph.items], m)
+            feasible_rank = np.where(np.hstack((feasible, no_edge)), real_rank, 2 * m)
+            safe = _mask(_least(by_item, feasible_rank), m)
+        else:
+            item = np.append(np.array(graph.buyer_items, dtype=np.intp).reshape(m, 2)[:, 1], n)
+            surplus = values[:, m:] - np.maximum(price_value[:, u], price_value[:, v])
+            surplus = np.hstack((surplus, np.zeros((trials, 1))))
+            taken = np.zeros((trials, n + 1), dtype=bool)
+            taken[:, n] = True
+            at, chosen = rows[:, None], []
+            for i in orders.T:
+                cand = by_buyer[place[i]]
+                ok = clears[at, cand] & ~taken[at, item[cand]]
+                gain = np.where(ok, surplus[at, cand], -np.inf)
+                top = ok & (gain == gain.max(axis=1, keepdims=True))
+                e = cand[rows, np.where(top, real_rank[at, cand], 2 * m).argmin(axis=1)]
+                e = np.where(top.any(axis=1), e, m)
+                taken[rows, item[e]] = True
+                chosen.append(e)
+            matching = feasible = _mask(np.array(chosen, dtype=np.intp).reshape(-1, trials).T, m)
+
+    reals = values[:, m:]
+    matching_weight = _edge_sums(matching, reals)
+    return StaticRuns(
+        matching=matching,
+        sample_matching=sample,
+        feasible=feasible,
+        safe=safe,
+        matching_weight=matching_weight,
+        sample_matching_weight=_edge_sums(sample, values[:, :m]),
+        feasible_weight=matching_weight if feasible is matching else _edge_sums(feasible, reals),
+        safe_weight=None if safe is None else _edge_sums(safe, reals),
     )
 
 
@@ -303,6 +484,37 @@ def _records_agree(online: RunRecord, offline: RunRecord) -> bool:
         and online.feasible_weight == offline.feasible_weight
         and online.sample_matching.weight == offline.sample_matching.weight
         and online.matching.weight == offline.matching.weight
+    )
+
+
+def _kernel_agrees(
+    model: str,
+    graph: Graph,
+    real: Realization,
+    order: Sequence[int],
+    record: RunRecord,
+    safe: Matching | None = None,
+) -> bool:
+    """Does ``_static_batch`` give one run's record exactly?
+
+    Runs the kernel on the realization and arrival order alone and compares
+    its matching, sample matching and feasible set, and the vertex model's
+    safe matching when ``safe`` is given, as edge sets and bit for bit by
+    weight.
+    """
+    orders = np.array([order], dtype=np.intp).reshape(1, -1)
+    runs = _static_batch(model, graph, real.values[None], np.array([real.rank]), orders)
+    pairs = [
+        (runs.matching, runs.matching_weight, record.matching.edges, record.matching.weight),
+        (runs.sample_matching, runs.sample_matching_weight,
+         record.sample_matching.edges, record.sample_matching.weight),
+        (runs.feasible, runs.feasible_weight, record.feasible, record.feasible_weight),
+    ]
+    if safe is not None:
+        pairs.append((runs.safe, runs.safe_weight, safe.edges, safe.weight))
+    return all(
+        set(np.flatnonzero(mask[0]).tolist()) == set(edges) and weight[0].hex() == want.hex()
+        for mask, weight, edges, want in pairs
     )
 
 

@@ -2,9 +2,9 @@
 
 Each trial derives its own seed from the master seed and the trial index, so
 results are reproducible bit-for-bit and independent of execution order.
-``trial_batches`` is the one trial path: it draws and solves a config's
-trials a chunk at a time, for ``estimate_ratio`` and for the invariant
-suite's bound checks alike.  The reported ratio is the ratio of means
+``trial_batches`` is the one trial path: it draws, runs and solves a
+config's trials a chunk at a time, for ``estimate_ratio`` and for the
+invariant suite's bound checks alike.  The reported ratio is the ratio of means
 (expected optimum over expected online weight); the mean of per-trial ratios
 is kept only as a diagnostic.
 """
@@ -17,14 +17,16 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
+from itertools import count
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .adversary import OrderStrategy, make_controller, static_order
-from .core import CapabilityError, Graph, InputError, RunRecord
-from .distributions import InstanceSpec, draw_realizations
-from .edge_arrival import run_online_edge
+from .core import CapabilityError, Graph, InputError, Realization, RunRecord
+from .distributions import InstanceSpec, draw_batch
+from .edge_arrival import _static_batch, run_online_edge
 from .oracle import _table_weights, max_weight_matching
 from .truthful import run_truthful
 from .vertex_arrival import build_safe_matching, run_online_vertex
@@ -234,26 +236,39 @@ def summarize(rows: list[TrialRow]) -> RatioEstimate:
     )
 
 
-# Trials are drawn and solved a chunk at a time, with at most this many
-# elements per chunk: trials times the 2m draws plus the graph's
-# matching-table rows.  On the quick suite, chunks of 16 to 400 trials take
-# the same time, and the larger ones raise the peak memory.
+# Trials are drawn, run and solved a chunk at a time, with at most this many
+# draws per chunk: trials times 2m, and at least one trial.  The gate's
+# graphs (m = 8 to 18) get 113 to 256 trials per chunk, where the batched
+# static-order kernel costs 2 to 7 us per trial, against 15 to 31 us at 16
+# trials.  On the quick suite, 2,048 to 16,384 draws per chunk take the same
+# time within noise and 1,024 is about a third slower; each doubling adds
+# about 1 MB of peak memory (2-core Xeon, Python 3.11, numpy 2.4).
+# ratio-edge-K20 gets 10 trials per chunk and ratio-vertex-K50x50 one.
 BATCH_ELEMENTS = 1 << 12
 
 
+class TrialChunk(NamedTuple):
+    """Trials ``start`` .. ``start + len(seeds) - 1``: their seeds, and the
+    (trials, 2m) value and rank arrays their realizations are built from."""
+
+    start: int
+    seeds: list[int]
+    values: np.ndarray
+    rank: np.ndarray
+    reals: list[Realization]
+
+
 def trial_chunks(spec: InstanceSpec, master_seed: int, trials: int):
-    """Trials 0 .. trials-1 in chunks: (first trial, seeds, realizations).
+    """Trials 0 .. trials-1 as ``TrialChunk``s.
 
     Trial t's seed is ``trial_seed(master_seed, t)`` and its realization the
     one ``draw_realization`` gives at that seed.
     """
-    table = spec.graph.matching_table
-    per_trial = 2 * spec.graph.num_edges + (0 if table is None else len(table))
-    size = max(1, BATCH_ELEMENTS // per_trial)
+    size = max(1, BATCH_ELEMENTS // max(1, 2 * spec.graph.num_edges))
     seeds = trial_seeds(master_seed, trials)
     for start in range(0, trials, size):
         chunk = seeds[start : start + size]
-        yield start, chunk.tolist(), draw_realizations(spec, chunk)
+        yield TrialChunk(start, chunk.tolist(), *draw_batch(spec, chunk))
 
 
 def max_matching_weights(graph: Graph, values: np.ndarray) -> np.ndarray:
@@ -272,34 +287,64 @@ def max_matching_weights(graph: Graph, values: np.ndarray) -> np.ndarray:
     return _table_weights(table, values).max(axis=1)
 
 
+def _chunk_columns(config: ExperimentConfig, chunk: TrialChunk):
+    """The alg, sample-matching, feasible and safe weights of a chunk's trials.
+
+    A static order on a graph with a matching table runs the whole chunk in
+    ``_static_batch``; any other trial runs alone.  Either way each trial's
+    order comes from one ``resolve_order`` call.
+    """
+    spec, model, strategy = config.instance, config.model, config.strategy
+    trials = zip(chunk.seeds, chunk.reals)
+    if strategy.kind != "adaptive" and spec.graph.matching_table is not None:
+        orders = [resolve_order(strategy, model, spec, real, seed)[0] for seed, real in trials]
+        orders = np.array(orders, dtype=np.intp).reshape(len(orders), -1)
+        runs = _static_batch(model, spec.graph, chunk.values, chunk.rank, orders)
+        safe = runs.safe_weight.tolist() if model == "vertex" else [None] * len(orders)
+        return zip(
+            runs.matching_weight.tolist(),
+            runs.sample_matching_weight.tolist(),
+            runs.feasible_weight.tolist(),
+            safe,
+        )
+    columns = []
+    for seed, real in trials:
+        _, record = _online_trial(strategy, model, spec, real, seed)
+        safe = None
+        if model == "vertex":
+            safe = build_safe_matching(spec.graph, record.feasible, real).weight
+        columns.append(
+            (record.matching.weight, record.sample_matching.weight, record.feasible_weight, safe)
+        )
+    return columns
+
+
 def trial_batches(config: ExperimentConfig):
-    """The config's trials a chunk at a time: (realizations, rows) per chunk.
+    """The config's trials a chunk at a time: (``TrialChunk``, rows) per chunk.
 
     Each row measures one seeded trial: its online run, the vertex model's
     safe matching taken from that run's feasible set, and the exact optimum
     of its real values, solved for the whole chunk at once.
     """
-    spec, model, strategy = config.instance, config.model, config.strategy
-    for start, seeds, reals in trial_chunks(spec, config.master_seed, config.trials):
-        opts = max_matching_weights(spec.graph, [real.real_values for real in reals]).tolist()
-        rows = []
-        for t, (seed, real, opt) in enumerate(zip(seeds, reals, opts), start):
-            _, record = _online_trial(strategy, model, spec, real, seed)
-            safe_weight = None
-            if model == "vertex":
-                safe_weight = build_safe_matching(spec.graph, record.feasible, real).weight
-            rows.append(
-                TrialRow(
-                    trial=t,
-                    seed=seed,
-                    matching_weight=record.matching.weight,
-                    opt_weight=opt,
-                    sample_matching_weight=record.sample_matching.weight,
-                    feasible_weight=record.feasible_weight,
-                    safe_matching_weight=safe_weight,
-                )
+    m = config.instance.graph.num_edges
+    for chunk in trial_chunks(config.instance, config.master_seed, config.trials):
+        opts = max_matching_weights(config.instance.graph, chunk.values[:, m:]).tolist()
+        columns = _chunk_columns(config, chunk)
+        rows = [
+            TrialRow(
+                trial=t,
+                seed=seed,
+                matching_weight=alg,
+                opt_weight=opt,
+                sample_matching_weight=sample,
+                feasible_weight=feasible,
+                safe_matching_weight=safe,
             )
-        yield reals, rows
+            for t, seed, opt, (alg, sample, feasible, safe) in zip(
+                count(chunk.start), chunk.seeds, opts, columns
+            )
+        ]
+        yield chunk, rows
 
 
 def estimate_ratio(config: ExperimentConfig) -> RatioEstimate:

@@ -22,7 +22,7 @@ import numpy as np
 from .adversary import OrderStrategy
 from .core import Graph, InputError, validate_matching
 from .distributions import DistSpec, InstanceSpec, _edge_words, draw_realization
-from .edge_arrival import _records_agree, run_offline_edge, run_online_edge
+from .edge_arrival import _kernel_agrees, _records_agree, run_offline_edge, run_online_edge
 from .harness import (
     ExperimentConfig,
     estimate_ratio,
@@ -208,7 +208,10 @@ def _sweep_orders(rng: np.random.Generator, count: int, k: int) -> list[int]:
 
 
 def check_edge_coupling(instances: int = 1000, seed: int = 101) -> InvariantResult:
-    """Online and offline edge-arrival runs agree exactly, instance by instance."""
+    """Online and offline edge-arrival runs agree exactly, instance by instance.
+
+    The batched static-order kernel must give the online run exactly too.
+    """
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     failures = 0
     valid_failures = 0
@@ -217,7 +220,10 @@ def check_edge_coupling(instances: int = 1000, seed: int = 101) -> InvariantResu
         order = _sweep_orders(rng, spec.graph.num_edges, k)
         real = draw_realization(spec, int(rng.integers(0, 2**63)))
         record = run_online_edge(spec, real, order)
-        if not _records_agree(record, run_offline_edge(spec, real, order).record):
+        if not (
+            _records_agree(record, run_offline_edge(spec, real, order).record)
+            and _kernel_agrees("edge", spec.graph, real, order, record)
+        ):
             failures += 1
         if not (
             validate_matching(spec.graph, record.matching)
@@ -237,7 +243,11 @@ def check_edge_coupling(instances: int = 1000, seed: int = 101) -> InvariantResu
 
 
 def check_vertex_coupling(instances: int = 1000, seed: int = 102) -> InvariantResult:
-    """Bipartite analogue of the edge coupling sweep, plus structural checks."""
+    """Bipartite analogue of the edge coupling sweep, plus structural checks.
+
+    The batched static-order kernel must give the online run and the safe
+    matching exactly too.
+    """
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     failures = 0
     structural = 0
@@ -248,7 +258,11 @@ def check_vertex_coupling(instances: int = 1000, seed: int = 102) -> InvariantRe
         real = draw_realization(spec, int(rng.integers(0, 2**63)))
         trace = run_offline_vertex(spec, real, order)
         rec = trace.record
-        if not _records_agree(run_online_vertex(spec, real, order), rec):
+        online = run_online_vertex(spec, real, order)
+        if not (
+            _records_agree(online, rec)
+            and _kernel_agrees("vertex", spec.graph, real, order, online, trace.safe_matching)
+        ):
             failures += 1
         # each buyer at most once in the feasible set; weight sandwich holds
         seen_buyers = [spec.graph.buyer_item(e)[0] for e in rec.feasible]
@@ -320,10 +334,11 @@ def check_bound(
     every trial (the per-realization guarantee the prices rely on).
     """
     config = ExperimentConfig(spec, model, strategy, trials, seed)
+    m = spec.graph.num_edges
     rows, opt_s = [], []
-    for reals, chunk in trial_batches(config):
-        rows += chunk
-        opt_s += max_matching_weights(spec.graph, [real.sample_values for real in reals]).tolist()
+    for chunk, part in trial_batches(config):
+        rows += part
+        opt_s += max_matching_weights(spec.graph, chunk.values[:, :m]).tolist()
     est = summarize(rows)
     alg = np.array([r.matching_weight for r in rows])
     opt = np.array([r.opt_weight for r in rows])
@@ -400,8 +415,8 @@ def check_edge_chain(
     n_considered = np.empty(trials)
     n_lead_feasible = np.empty(trials)
     n_safe = np.empty(trials)
-    for start, _, reals in trial_chunks(spec, seed, trials):
-        for t, real in enumerate(reals, start):
+    for chunk in trial_chunks(spec, seed, trials):
+        for t, real in enumerate(chunk.reals, chunk.start):
             order = [int(x) for x in rng_orders.permutation(m)]
             trace = run_offline_edge(spec, real, order)
             feas = frozenset(trace.record.feasible)
@@ -461,8 +476,8 @@ def check_coin_fairness(
     num = np.empty(trials)
     den = np.empty(trials)
     coin_seeds = trial_seeds(seed ^ 0xC0FFEE, trials).tolist()
-    for start, _, reals in trial_chunks(spec, seed, trials):
-        for t, real in enumerate(reals, start):
+    for chunk in trial_chunks(spec, seed, trials):
+        for t, real in enumerate(chunk.reals, chunk.start):
             order = [int(x) for x in rng_orders.permutation(m)]
             coin_seed = coin_seeds[t]
 
@@ -504,8 +519,8 @@ def check_vertex_chain(
     match_w = np.empty(trials)
     opt_w = np.empty(trials)
     sandwich_failures = 0
-    for start, _, reals in trial_chunks(spec, seed, trials):
-        for t, real in enumerate(reals, start):
+    for chunk in trial_chunks(spec, seed, trials):
+        for t, real in enumerate(chunk.reals, chunk.start):
             order = [buyers[int(x)] for x in rng_orders.permutation(len(buyers))]
             trace = run_offline_vertex(spec, real, order)
             ms_w[t] = trace.record.sample_matching.weight
@@ -517,8 +532,8 @@ def check_vertex_chain(
                 and safe_w[t] <= trace.record.feasible_weight + 1e-12
             ):
                 sandwich_failures += 1
-        opt_w[start : start + len(reals)] = max_matching_weights(
-            spec.graph, [real.real_values for real in reals]
+        opt_w[chunk.start : chunk.start + len(chunk.reals)] = max_matching_weights(
+            spec.graph, chunk.values[:, spec.graph.num_edges :]
         )
     results = [
         _paired_result(f"vertex_chain/feasible_vs_sample[{label}]", 2.0 * feas_w - ms_w),
@@ -578,7 +593,8 @@ def check_truthfulness(
 
 
 def check_maximality(runs: int = 1000, seed: int = 105) -> InvariantResult:
-    """The mechanism's matching is maximal in the price-feasible edge set."""
+    """The mechanism's matching is maximal in the price-feasible edge set, and
+    the batched static-order kernel gives the mechanism's run exactly."""
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     failures = 0
     for k in range(runs):
@@ -590,7 +606,10 @@ def check_maximality(runs: int = 1000, seed: int = 105) -> InvariantResult:
         feasible = frozenset(
             run_offline_edge(spec, real, list(range(spec.graph.num_edges))).record.feasible
         )
-        if not maximality_check(outcome, feasible):
+        if not (
+            maximality_check(outcome, feasible)
+            and _kernel_agrees("truthful", spec.graph, real, order, outcome.record)
+        ):
             failures += 1
     return InvariantResult(
         name="mechanism_maximality",

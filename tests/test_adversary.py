@@ -47,6 +47,27 @@ class TestParsing:
         with pytest.raises(InputError):
             OrderStrategy(kind="random", seed=-2)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"kind": "random", "seed": 1.5},
+            {"kind": "random", "seed": "3"},
+            {"kind": "fixed", "order": (0.0, 1, 2, 3, 4, 5)},
+            {"kind": "fixed", "order": (0, "1")},
+            {"kind": "fixed", "order": 3},
+        ],
+    )
+    def test_non_integer_seed_or_order_rejected(self, fields):
+        # a float seed used to build and fail later in SeedSequence, and a
+        # float order id passed static_order's permutation check
+        with pytest.raises(InputError):
+            OrderStrategy(**fields)
+
+    def test_integer_likes_become_ints(self):
+        s = OrderStrategy(kind="fixed", order=[np.int64(2), True, 0], seed=np.uint8(4))
+        assert s.order == (2, 1, 0) and type(s.order[0]) is int
+        assert s.seed == 4 and type(s.seed) is int
+
 
 def _three_path():
     spec = InstanceSpec(

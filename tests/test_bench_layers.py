@@ -59,10 +59,19 @@ def test_drawn_reals_carry_float_values():
     assert all(type(d.value) is float for d in real.reals)
 
 
-@pytest.mark.parametrize("order", ["random", "adaptive:starve-items"])
-def test_traced_ratio_runs_one_greedy_inside_each_online_run(order):
+@pytest.mark.parametrize(
+    "order,spec",
+    [
+        # the ratio workloads' graphs are past the table's cap, where a
+        # random order runs each trial alone, as here
+        ("random", complete_bipartite(5, 6, DistSpec.uniform(0.0, 1.0))),
+        ("adaptive:starve-items", complete_bipartite(2, 3, DistSpec.uniform(0.0, 1.0))),
+    ],
+    ids=["random", "adaptive:starve-items"],
+)
+def test_traced_ratio_runs_one_greedy_inside_each_online_run(order, spec):
     config = ExperimentConfig(
-        instance=complete_bipartite(2, 3, DistSpec.uniform(0.0, 1.0)),
+        instance=spec,
         model="vertex",
         strategy=parse_order_spec(order),
         trials=7,
@@ -97,6 +106,25 @@ def test_traced_ratio_solves_each_trial_once_past_the_table_cap(model, spec):
     tracer.run(estimate_ratio, config)
     assert tracer.calls(("oracle.max_weight_matching",)) == config.trials
     assert tracer.calls(("harness.resolve_order", "adversary.static_order")) == config.trials
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("order", ["random", "dec", "inc", "fixed"])
+def test_traced_static_order_on_a_table_graph_runs_no_online_span(model, order):
+    # a static order on a graph with a matching table runs each chunk in the
+    # batched kernel: every trial still resolves its order once, and no
+    # per-trial online run, greedy matching or exact solve is traced
+    spec = complete_bipartite(2, 3, DistSpec.uniform(0.0, 1.0))
+    assert spec.graph.matching_table is not None
+    ids = range(spec.graph.num_edges) if model == "edge" else spec.graph.buyers
+    strategy = parse_order_spec(order if order != "fixed" else f"fixed:{','.join(map(str, ids))}")
+    config = ExperimentConfig(spec, model, strategy, trials=7, master_seed=3)
+    tracer = SPANS.Tracer("test")
+    tracer.run(estimate_ratio, config)
+    assert tracer.calls(("harness.resolve_order", "adversary.static_order")) == config.trials
+    assert tracer.calls(("harness.resolve_order",)) == config.trials
+    traced = {layer for path in tracer.paths for layer in path[1:]}
+    assert traced == {"harness.resolve_order", "adversary.static_order"}
 
 
 def test_traced_bound_matrix_resolves_each_trial_once():

@@ -14,6 +14,7 @@ from prophet_matching.distributions import (
     InstanceSpec,
     _edge_words,
     _unique_keys,
+    draw_batch,
     draw_realization,
     draw_realizations,
 )
@@ -307,6 +308,15 @@ class TestDrawRealizations:
         for seed, real in zip(BATCH_SEEDS, batch):
             assert _same_draws(real, draw_realization(spec, seed))
 
+    def test_batch_arrays_hold_each_realization(self):
+        values, rank, reals = draw_batch(_mixed_family_instance(), BATCH_SEEDS)
+        assert values.shape == rank.shape == (len(BATCH_SEEDS), 2 * reals[0].num_edges)
+        for t, real in enumerate(reals):
+            assert values[t].tolist() == real.values.tolist()
+            assert rank[t].tolist() == list(real.rank)
+        # read-only like each realization's own arrays, whose values they share
+        assert not values.flags.writeable and not rank.flags.writeable
+
     def test_no_seeds_and_no_edges(self):
         assert draw_realizations(path_graph(3, DistSpec.uniform(0.0, 1.0)), []) == []
         empty = InstanceSpec(general_graph(2, []), ())
@@ -348,6 +358,8 @@ class TestDrawRealizations:
         monkeypatch.setattr(distributions.hashlib, "sha256", sha256)
         batch = draw_realizations(spec, seeds)
         one = draw_realization(spec, 11)
+        _, rank, _ = draw_batch(spec, seeds)
+        assert rank[1].tolist() == list(batch[1].rank)  # the re-keyed row's order
         m = spec.graph.num_edges
 
         def rekey(d, salt):

@@ -3,17 +3,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from prophet_matching.adversary import OrderStrategy, static_order
 from prophet_matching.core import ContractViolation, InputError, validate_matching
-from prophet_matching.distributions import DistSpec, InstanceSpec, draw_realization
+from prophet_matching.distributions import DistSpec, InstanceSpec, draw_batch, draw_realization
 from prophet_matching.edge_arrival import (
+    _static_batch,
     coupled_equivalence_check,
     run_offline_edge,
     run_online_edge,
 )
-from prophet_matching.instances import path_graph, star_graph
+from prophet_matching.harness import _run_online
+from prophet_matching.instances import complete_bipartite, path_graph, star_graph
 from prophet_matching.invariants import random_small_instance
 from prophet_matching.truthful import run_truthful
-from prophet_matching.vertex_arrival import run_offline_vertex, run_online_vertex
+from prophet_matching.vertex_arrival import (
+    build_safe_matching,
+    run_offline_vertex,
+    run_online_vertex,
+)
 
 from conftest import bipartite_graph, general_graph, realization
 
@@ -276,3 +283,91 @@ class TestCoinFairness:
         assert result.passed
         # pins the independent coin stream
         assert result.data["p"] == 0.5208888888888888
+
+
+def _assert_kernel_matches_driver(model, spec, seeds, strategy):
+    """Every row of one kernel call against the per-trial driver: edge sets,
+    and weights bit for bit."""
+    values, rank, reals = draw_batch(spec, seeds)
+    orders = [static_order(strategy, spec.graph, real, model, s) for real, s in zip(reals, seeds)]
+    runs = _static_batch(
+        model, spec.graph, values, rank, np.array(orders, dtype=np.intp).reshape(len(seeds), -1)
+    )
+    for t, (real, order) in enumerate(zip(reals, orders)):
+        record = _run_online(model, spec, real, order)
+        want = [
+            (record.matching.edges, record.matching.weight),
+            (frozenset(record.sample_matching.edges), record.sample_matching.weight),
+            (frozenset(record.feasible), record.feasible_weight),
+        ]
+        got = [
+            (frozenset(np.flatnonzero(runs.matching[t]).tolist()), runs.matching_weight[t]),
+            (
+                frozenset(np.flatnonzero(runs.sample_matching[t]).tolist()),
+                runs.sample_matching_weight[t],
+            ),
+            (frozenset(np.flatnonzero(runs.feasible[t]).tolist()), runs.feasible_weight[t]),
+        ]
+        if model == "vertex":
+            safe = build_safe_matching(spec.graph, record.feasible, real)
+            want.append((safe.edges, safe.weight))
+            got.append((frozenset(np.flatnonzero(runs.safe[t]).tolist()), runs.safe_weight[t]))
+        else:
+            assert runs.safe is None and runs.safe_weight is None
+        assert [(edges, w.hex()) for edges, w in got] == [(edges, w.hex()) for edges, w in want]
+
+
+STATIC_KINDS = ("fixed", "random", "dec", "inc")
+
+
+class TestStaticBatch:
+    """The batched static-order kernel against the per-trial driver."""
+
+    @pytest.mark.parametrize("model", ["edge", "vertex", "truthful"])
+    @pytest.mark.parametrize("kind", STATIC_KINDS)
+    def test_random_mixed_instances(self, model, kind):
+        rng = np.random.default_rng(["edge", "vertex", "truthful"].index(model) * 10 + len(kind))
+        for _ in range(60):
+            spec = random_small_instance(rng, bipartite=True if model != "edge" else None)
+            seeds = [int(s) for s in rng.integers(0, 2**63, int(rng.integers(1, 9)))]
+            ids = range(spec.graph.num_edges) if model == "edge" else spec.graph.buyers
+            fixed = tuple(rng.permutation(list(ids)).tolist()) if kind == "fixed" else None
+            strategy = OrderStrategy(kind=kind, order=fixed)
+            _assert_kernel_matches_driver(model, spec, seeds, strategy)
+
+    @pytest.mark.parametrize("model", ["edge", "vertex", "truthful"])
+    def test_empty_graph(self, model):
+        graph = bipartite_graph([0, 1], [2], [])
+        spec = InstanceSpec(graph=graph, dists=())
+        _assert_kernel_matches_driver(model, spec, [1, 2, 3], OrderStrategy(kind="random"))
+        values, rank, _ = draw_batch(spec, [1, 2])
+        orders = np.zeros((2, 0 if model == "edge" else 2), dtype=np.intp)
+        if model != "edge":
+            orders[:] = [0, 1]
+        runs = _static_batch(model, graph, values, rank, orders)
+        assert runs.matching.shape == runs.feasible.shape == (2, 0)
+        assert runs.matching_weight.tolist() == runs.sample_matching_weight.tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("model", ["edge", "vertex", "truthful"])
+    @pytest.mark.parametrize("kind", STATIC_KINDS)
+    def test_buyer_and_item_without_edges(self, model, kind):
+        # buyer 1 and item 4 have no edge
+        graph = bipartite_graph([0, 1, 2], [3, 4, 5], [(0, 3), (0, 5), (2, 3), (2, 5)])
+        spec = InstanceSpec(graph=graph, dists=(DistSpec.uniform(0.0, 1.0),) * 4)
+        ids = range(4) if model == "edge" else graph.buyers
+        strategy = OrderStrategy(kind=kind, order=tuple(ids)[::-1] if kind == "fixed" else None)
+        _assert_kernel_matches_driver(model, spec, list(range(40)), strategy)
+
+    @pytest.mark.parametrize("model", ["edge", "vertex", "truthful"])
+    @pytest.mark.parametrize(
+        "dist",
+        [DistSpec.point_mass(1.0), DistSpec.point_mass(0.0), DistSpec.bernoulli_scaled(0.3, 2.0)],
+        ids=["point-mass", "point-mass-zero", "bernoulli"],
+    )
+    def test_ties_and_zeros(self, model, dist):
+        # every value ties, or most are zero: the tie-break keys decide
+        for spec in (complete_bipartite(3, 3, dist), complete_bipartite(2, 4, dist)):
+            for kind in STATIC_KINDS[1:]:
+                _assert_kernel_matches_driver(
+                    model, spec, list(range(30)), OrderStrategy(kind=kind)
+                )

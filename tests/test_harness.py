@@ -169,22 +169,36 @@ class TestEstimateRatio:
 
     @pytest.mark.parametrize("elements", [1, 1 << 20])
     def test_chunk_size_moves_no_byte(self, monkeypatch, elements):
-        # at the default size both configs take two chunks; one trial per
-        # chunk and one chunk for every trial must give the same bytes
+        # at the default size every config takes two chunks; one trial per
+        # chunk and one chunk for every trial must give the same bytes.  The
+        # static orders run in the batched kernel, the adaptive one per trial
         from prophet_matching import harness
         from prophet_matching.invariants import check_bound
 
         dist = DistSpec.uniform(0.0, 1.0)
-        config = ExperimentConfig(
-            complete_bipartite(3, 4, dist), "vertex", parse_order_spec("adaptive:starve-items"),
-            trials=60, master_seed=5,
+        configs = [
+            ExperimentConfig(complete_bipartite(3, 4, dist), "vertex", parse_order_spec(order),
+                             trials=200, master_seed=5)
+            for order in ("adaptive:starve-items", "dec")
+        ]
+        configs.append(
+            ExperimentConfig(complete_bipartite(3, 6, dist), "truthful",
+                             OrderStrategy(kind="random"), trials=200, master_seed=7)
         )
         bound_args = (
-            complete_graph(6, dist), "edge", OrderStrategy(kind="random"), 16.0, 60, 9, "K6"
+            complete_graph(6, dist), "edge", OrderStrategy(kind="random"), 16.0, 200, 9, "K6"
         )
-        want = estimate_to_csv(estimate_ratio(config)), check_bound(*bound_args)
+        for spec in (configs[0].instance, configs[2].instance, bound_args[0]):
+            assert spec.graph.matching_table is not None
+            assert len(list(harness.trial_chunks(spec, 0, 200))) == 2
+
+        def outputs():
+            csvs = [estimate_to_csv(estimate_ratio(config)) for config in configs]
+            return csvs, check_bound(*bound_args)
+
+        want = outputs()
         monkeypatch.setattr(harness, "BATCH_ELEMENTS", elements)
-        assert (estimate_to_csv(estimate_ratio(config)), check_bound(*bound_args)) == want
+        assert outputs() == want
 
     def test_save_results_rejects_unknown_format(self, tmp_path):
         from prophet_matching.invariants import InvariantResult, SuiteReport
