@@ -11,13 +11,8 @@ matching on every realization.
 
 import numpy as np
 
-from prophet_matching import (
-    coupled_equivalence_check,
-    draw_realization,
-    run_offline_edge,
-    run_online_edge,
-)
-from prophet_matching.invariants import random_small_instance
+from prophet_matching import draw_realization, run_offline_edge, run_online_edge
+from prophet_matching.invariants import check_edge_coupling, random_small_instance
 
 rng = np.random.default_rng(2)
 spec = random_small_instance(rng, bipartite=False)
@@ -33,11 +28,7 @@ print(
     f"offline feasible={sorted(offline.record.feasible)} "
     f"matching={sorted(offline.record.matching.edges)}"
 )
-print(f"offline coin flips (edge, first copy is real): {offline.coin_flips}\n")
+print(f"offline first edge at each touched vertex: {offline.first_edge}\n")
 
-checks = 0
-for _ in range(2000):
-    inst = random_small_instance(rng)
-    ids = list(range(inst.graph.num_edges))
-    checks += coupled_equivalence_check(inst, int(rng.integers(0, 2**62)), ids)
-print(f"coupling holds on {checks}/2000 random instances (exact set equality)")
+sweep = check_edge_coupling(instances=2000)
+print(f"coupling sweep over random instances (exact set equality): {sweep.detail}")

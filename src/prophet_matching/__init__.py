@@ -24,12 +24,7 @@ from .core import (
     validate_matching,
 )
 from .distributions import DistSpec, InstanceSpec, draw_realization
-from .edge_arrival import (
-    EdgeArrivalTrace,
-    coupled_equivalence_check,
-    run_offline_edge,
-    run_online_edge,
-)
+from .edge_arrival import EdgeArrivalTrace, run_offline_edge, run_online_edge
 from .harness import (
     ExperimentConfig,
     RatioEstimate,

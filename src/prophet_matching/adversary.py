@@ -23,28 +23,23 @@ ADAPTIVE_POLICIES = ("block-best", "starve-items")
 class OrderStrategy:
     """Declarative description of an arrival order.
 
-    kinds: fixed (explicit permutation), random (seeded shuffle),
-    dec / inc (by real value, decreasing / increasing), adaptive (named
-    policy reacting to the algorithm's public state).
+    kinds: fixed (explicit permutation), random (shuffle seeded by the
+    trial), dec / inc (by real value, decreasing / increasing), adaptive
+    (named policy reacting to the algorithm's public state).
     """
 
     kind: str
     order: tuple[int, ...] | None = None
-    seed: int | None = None
     policy: str | None = None
 
     def __post_init__(self):
         if self.kind not in ("fixed", "random", "dec", "inc", "adaptive"):
             raise InputError(f"unknown order kind {self.kind!r}")
-        try:
-            if self.seed is not None:
-                object.__setattr__(self, "seed", operator.index(self.seed))
-            if self.order is not None:
+        if self.order is not None:
+            try:
                 object.__setattr__(self, "order", tuple(map(operator.index, self.order)))
-        except TypeError:
-            raise InputError("order seed and order ids must be integers") from None
-        if self.seed is not None and self.seed < 0:
-            raise InputError("order seed must be a non-negative integer")
+            except TypeError:
+                raise InputError("order ids must be integers") from None
         if self.kind == "fixed" and self.order is None:
             raise InputError("fixed order needs an explicit permutation")
         if self.kind == "adaptive" and self.policy not in ADAPTIVE_POLICIES:
@@ -89,8 +84,8 @@ def static_order(
     For edge arrivals the inc/dec kinds sort edges by the rank of their real
     draw; for buyer arrivals they sort buyers by their best incident real
     draw, and a buyer without edges sorts like a zero value with key 0: after
-    every positive draw, before every zero one.  The random kind uses the
-    strategy's own seed when set, else ``seed``.
+    every positive draw, before every zero one.  The random kind shuffles
+    with ``seed``.
     """
     if strategy.kind == "adaptive":
         raise InputError("adaptive strategies cannot be materialized statically")
@@ -101,19 +96,18 @@ def static_order(
             raise InputError("fixed order is not a permutation of the arriving elements")
         return order
     if strategy.kind == "random":
-        rng = np.random.default_rng(
-            np.random.SeedSequence([strategy.seed if strategy.seed is not None else seed])
-        )
+        rng = np.random.default_rng(np.random.SeedSequence([seed]))
         return [elements[k] for k in rng.permutation(len(elements))]
     if model == "edge":
         keyed = real.edge_order(1)
     else:
-        m, rank = real.num_edges, real.rank
-        # a buyer without edges ranks like a draw of value 0 with key 0
-        zero_rank = int(np.count_nonzero(real.values > 0)) - 0.5
+        m, rank, incident = real.num_edges, real.rank, graph.incident
+        zero_rank = None
+        if not all(incident[i] for i in elements):
+            # a buyer without edges ranks like a draw of value 0 with key 0
+            zero_rank = int(np.count_nonzero(real.values > 0)) - 0.5
         keyed = sorted(
-            elements,
-            key=lambda i: min((rank[m + e] for e in graph.incident[i]), default=zero_rank),
+            elements, key=lambda i: min((rank[m + e] for e in incident[i]), default=zero_rank)
         )
     return keyed if strategy.kind == "dec" else keyed[::-1]
 

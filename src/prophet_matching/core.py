@@ -398,16 +398,13 @@ class PriceTable:
 class AlgorithmView:
     """What an (adaptive) arrival controller may observe mid-run.
 
-    Exposes only the algorithm's public state: thresholds, the matching built
-    so far, the price-feasible edges seen so far, and which elements have
-    already arrived.  Internal randomness is never exposed.
+    Exposes only the algorithm's public state: the vertex thresholds and the
+    vertices the matching built so far covers.  Internal randomness is never
+    exposed.
     """
 
     prices: PriceTable
     matched_vertices: frozenset[int]
-    matching_edges: frozenset[int]
-    feasible: tuple[int, ...]
-    arrived: frozenset[int]
 
 
 @dataclass(frozen=True)

@@ -102,17 +102,29 @@ class DistSpec:
         return cls("bernoulli_scaled", (float(p), float(v)))
 
     def quantile(self, u: float) -> float:
-        """Inverse CDF at u in [0, 1); all five families invert analytically."""
+        """Inverse CDF at u in [0, 1); all five families invert analytically.
+
+        Raises ``InputError`` where the value is not finite, as a draw does:
+        an exponential quotient or a Pareto product can overflow to inf, and
+        a Pareto power can raise ``OverflowError``.
+        """
         f, p = self.family, self.params
         if f == "point_mass":
             return p[0]
         if f == "uniform":
             return p[0] + u * (p[1] - p[0])
-        if f == "exponential":
-            return -math.log1p(-u) / p[0]
-        if f == "pareto":
-            return p[0] * (1.0 - u) ** (-1.0 / p[1])
-        return p[1] if u < p[0] else 0.0
+        if f == "bernoulli_scaled":
+            return p[1] if u < p[0] else 0.0
+        try:
+            if f == "exponential":
+                x = -math.log1p(-u) / p[0]
+            else:
+                x = p[0] * (1.0 - u) ** (-1.0 / p[1])
+        except OverflowError:
+            x = math.inf
+        if not math.isfinite(x):
+            raise InputError(f"{f} quantile at {u} is not finite")
+        return x
 
     def cdf(self, x: float) -> float:
         """Analytic CDF, used by the distribution-correctness checks."""

@@ -45,7 +45,7 @@ from .core import (
     RunRecord,
     matching_weight,
 )
-from .distributions import InstanceSpec, draw_realization
+from .distributions import InstanceSpec
 from .oracle import greedy_matching
 
 
@@ -106,14 +106,7 @@ def _drive_arrivals(spec: InstanceSpec, real: Realization, order, elements, noun
         if controller is None:
             x = seq[step]
         else:
-            view = AlgorithmView(
-                prices=prices,
-                matched_vertices=frozenset(matched),
-                matching_edges=frozenset(accepted),
-                feasible=tuple(feasible),
-                arrived=frozenset(arrived),
-            )
-            x = controller.next_arrival(view)
+            x = controller.next_arrival(AlgorithmView(prices, frozenset(matched)))
             try:
                 x = operator.index(x)
             except TypeError:
@@ -359,12 +352,9 @@ class EdgeArrivalTrace:
     """
 
     record: RunRecord
-    realization: Realization  # with labels as the scan used them
-    considered: tuple[int, ...]
     considered_vertices: frozenset[int]
     first_edge: Mapping[int, int]
     safe: frozenset[int]
-    coin_flips: tuple[tuple[int, bool], ...]
 
 
 def _compute_safe(
@@ -422,15 +412,11 @@ def run_offline_edge(
     active = set(range(graph.num_vertices))
     feasible: list[int] = []
     sample_ids: list[int] = []
-    considered: list[int] = []
     first_edge: dict[int, int] = {}
-    coin_flips: list[tuple[int, bool]] = []
     for d in eff.order:
         e, is_real = d % m, d >= m
         u, v = graph.edges[e]
         if state[e] == _FREE and u in active and v in active:
-            coin_flips.append((e, is_real))
-            considered.append(e)
             first_edge.setdefault(u, e)
             first_edge.setdefault(v, e)
             if is_real:
@@ -466,12 +452,9 @@ def run_offline_edge(
     considered_vertices = frozenset(first_edge)
     return EdgeArrivalTrace(
         record=record,
-        realization=eff,
-        considered=tuple(considered),
         considered_vertices=considered_vertices,
         first_edge=first_edge,
         safe=_compute_safe(graph, feas_set, considered_vertices, first_edge, eff.rank[m:]),
-        coin_flips=tuple(coin_flips),
     )
 
 
@@ -517,15 +500,3 @@ def _kernel_agrees(
         for mask, weight, edges, want in pairs
     )
 
-
-def coupled_equivalence_check(spec: InstanceSpec, seed: int, order) -> bool:
-    """Do the online run and its coupled offline twin agree exactly?
-
-    Draws one realization, runs both procedures with the same arrival order,
-    and compares the feasible set, the sample matching, and the output
-    matching as sets and by weight.  Any disagreement is a bug.
-    """
-    real = draw_realization(spec, seed)
-    order = _check_order(order, range(spec.graph.num_edges), "edge")
-    online = run_online_edge(spec, real, order)
-    return _records_agree(online, run_offline_edge(spec, real, order).record)

@@ -31,13 +31,18 @@ def _require(cond: bool, where: str, message: str):
         raise InputError(f"{where}: {message}")
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; ``true`` and ``false`` parse as bools, which are ints in Python."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def instance_from_dict(data: dict) -> InstanceSpec:
     """Build an instance from parsed JSON, with field-level diagnostics."""
     _require(isinstance(data, dict), "$", "instance must be a JSON object")
     kind = data.get("kind", "general")
     _require(kind in ("general", "bipartite"), "kind", f"unknown kind {kind!r}")
     n = data.get("vertices")
-    _require(isinstance(n, int) and n >= 0, "vertices", "must be a non-negative integer")
+    _require(_is_int(n) and n >= 0, "vertices", "must be a non-negative integer")
     raw_edges = data.get("edges", [])
     _require(isinstance(raw_edges, list), "edges", "must be a list")
 
@@ -47,14 +52,14 @@ def instance_from_dict(data: dict) -> InstanceSpec:
         where = f"edges[{k}]"
         _require(isinstance(item, dict), where, "must be an object")
         u, v = item.get("u"), item.get("v")
-        _require(isinstance(u, int) and isinstance(v, int), where, "u and v must be integers")
+        _require(_is_int(u) and _is_int(v), where, "u and v must be integers")
         dist = item.get("dist")
         _require(isinstance(dist, dict), f"{where}.dist", "must be an object")
         family = dist.get("family")
         params = dist.get("params")
         _require(isinstance(family, str), f"{where}.dist.family", "must be a string")
         _require(
-            isinstance(params, list) and all(isinstance(p, (int, float)) for p in params),
+            isinstance(params, list) and all(_is_int(p) or isinstance(p, float) for p in params),
             f"{where}.dist.params",
             "must be a list of numbers",
         )
@@ -69,12 +74,12 @@ def instance_from_dict(data: dict) -> InstanceSpec:
     if kind == "bipartite":
         raw_buyers, raw_items = data.get("buyers"), data.get("items")
         _require(
-            isinstance(raw_buyers, list) and all(isinstance(b, int) for b in raw_buyers),
+            isinstance(raw_buyers, list) and all(map(_is_int, raw_buyers)),
             "buyers",
             "bipartite instances need an integer list of buyers",
         )
         _require(
-            isinstance(raw_items, list) and all(isinstance(j, int) for j in raw_items),
+            isinstance(raw_items, list) and all(map(_is_int, raw_items)),
             "items",
             "bipartite instances need an integer list of items",
         )

@@ -15,7 +15,7 @@ convention it reproduces the online run exactly, realization by realization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import (
     CapabilityError,
@@ -27,7 +27,7 @@ from .core import (
     matching_weight,
 )
 from .distributions import InstanceSpec
-from .edge_arrival import _check_order, _drive_arrivals, _effective_labels
+from .edge_arrival import _check_order, _drive_arrivals
 
 
 def _require_bipartite(graph: Graph):
@@ -61,15 +61,11 @@ class VertexArrivalTrace:
     """Offline-run trace for the vertex-arrival model.
 
     ``safe_matching`` resolves each item's feasible-set conflicts in favor of
-    the largest incident feasible edge.  The pool fields hold the final state
-    of the scan's bookkeeping sets.
+    the largest incident feasible edge.
     """
 
     record: RunRecord
     safe_matching: Matching
-    open_buyers_real: frozenset[int]
-    open_buyers_sample: frozenset[int]
-    open_items: frozenset[int]
 
 
 def build_safe_matching(graph: Graph, feasible: Sequence[int], real: Realization) -> Matching:
@@ -90,28 +86,21 @@ def build_safe_matching(graph: Graph, feasible: Sequence[int], real: Realization
     return Matching.from_edges(best_for_item.values(), real.real_values)
 
 
-def run_offline_vertex(
-    spec: InstanceSpec,
-    real: Realization,
-    order,
-    coins: Callable[[int], bool] | None = None,
-) -> VertexArrivalTrace:
-    """Run the offline twin of the vertex-arrival algorithm.
+def run_offline_vertex(spec: InstanceSpec, real: Realization, order) -> VertexArrivalTrace:
+    """Run the offline twin of the vertex-arrival algorithm, coins coupled.
 
-    Scans all 2m draws from best to worst; each edge's coin names
-    which of its copies is real-designated.  A real-designated copy joins the
-    feasible set if its buyer has no feasible edge yet, is unmatched on the
-    sample side, and its item is still open; its buyer then leaves the
-    open-for-feasible pool.  A sample-designated copy joins the sample
-    matching if buyer and item are open on the sample side; both then leave
-    their pools.  The output matching is extracted from the feasible set in
-    buyer arrival order.  ``coins`` forces coins as in ``run_offline_edge``;
-    None couples them to the realization.
+    Scans all 2m draws from best to worst.  A real draw joins the feasible
+    set if its buyer has no feasible edge yet, is unmatched on the sample
+    side, and its item is still open; its buyer then leaves the
+    open-for-feasible pool.  A sample draw joins the sample matching if buyer
+    and item are open on the sample side; both then leave their pools.  The
+    output matching is extracted from the feasible set in buyer arrival
+    order.  Each edge's coin is coupled to the realization (its real draw is
+    the real-designated copy), so the twin reproduces the online run exactly.
     """
     graph = spec.graph
     _require_bipartite(graph)
     seq = _check_order(order, graph.buyers, "buyer")
-    eff = _effective_labels(real, coins)
 
     m = graph.num_edges
     open_real: set[int] = set(graph.buyers)
@@ -119,7 +108,7 @@ def run_offline_vertex(
     open_items: set[int] = set(graph.items)
     feasible: list[int] = []
     sample_ids: list[int] = []
-    for d in eff.order:
+    for d in real.order:
         e, is_real = d % m, d >= m
         i, j = graph.buyer_item(e)
         if is_real:
@@ -148,18 +137,14 @@ def run_offline_vertex(
             accepted.append(e)
             taken.add(j)
 
-    sample_matching = Matching.from_edges(sample_ids, eff.sample_values)
+    sample_matching = Matching.from_edges(sample_ids, real.sample_values)
     record = RunRecord(
-        matching=Matching.from_edges(accepted, eff.real_values),
+        matching=Matching.from_edges(accepted, real.real_values),
         sample_matching=sample_matching,
         feasible=tuple(feasible),
-        feasible_weight=matching_weight(feasible, eff.real_values),
-        prices=PriceTable.from_matching(graph, sample_matching, eff),
+        feasible_weight=matching_weight(feasible, real.real_values),
+        prices=PriceTable.from_matching(graph, sample_matching, real),
     )
     return VertexArrivalTrace(
-        record=record,
-        safe_matching=build_safe_matching(graph, feasible, eff),
-        open_buyers_real=frozenset(open_real),
-        open_buyers_sample=frozenset(open_sample),
-        open_items=frozenset(open_items),
+        record=record, safe_matching=build_safe_matching(graph, feasible, real)
     )

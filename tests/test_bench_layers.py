@@ -127,17 +127,19 @@ def test_traced_static_order_on_a_table_graph_runs_no_online_span(model, order):
     assert traced == {"harness.resolve_order", "adversary.static_order"}
 
 
-def test_traced_bound_matrix_resolves_each_trial_once():
+def test_traced_bound_matrix_resolves_each_trial_once(monkeypatch):
     # the gate's trace self-test (perfbench/worker.py, _chain_checks) counts
     # these spans under each model's bound matrix: one order resolution per
     # trial, and the online algorithm, with its one greedy price matching,
     # run under it only for the adaptive order
     families = {"K22": complete_bipartite(2, 2, DistSpec.uniform(0.0, 1.0))}
+    monkeypatch.setattr(invariants, "edge_families", lambda dist: families)
+    monkeypatch.setattr(invariants, "bipartite_families", lambda dist: families)
     trials = 6
     for model in MODELS:
         tracer = SPANS.Tracer("test")
         # looked up when called, so that the call is the tracer's wrapper
-        tracer.run(lambda: invariants.competitive_bound_matrix(model, trials, 4, families))
+        tracer.run(lambda: invariants.competitive_bound_matrix(model, trials, 4))
         matrix = (f"invariants.competitive_bound_matrix.{model}", "harness.resolve_order")
         per_order = len(invariants.DIST_FAMILIES) * len(families) * trials
         orders = invariants.EDGE_ORDERS if model == "edge" else invariants.BUYER_ORDERS

@@ -104,16 +104,21 @@ class TestDrawRealization:
             draw_realization(spec, -1)
 
     @pytest.mark.parametrize(
-        "dist", [DistSpec.exponential(1e-320), DistSpec.pareto(1.0, 1e-3)], ids=["exp", "pareto"]
+        "dist",
+        [DistSpec.exponential(1e-320), DistSpec.pareto(1.0, 1e-3), DistSpec.pareto(1e300, 0.01)],
+        ids=["exp", "pareto", "pareto-product"],
     )
     def test_overflowing_draw_is_an_input_error(self, dist):
-        # the exponential's quotient overflows to inf in numpy, while the
-        # Pareto's power goes through Python's pow, which raises OverflowError
+        # the exponential's quotient and the Pareto's product overflow to inf,
+        # while the Pareto's power goes through Python's pow, which raises
+        # OverflowError; the per-draw quantile says so as the draws do
         spec = path_graph(2, dist)
         with pytest.raises(InputError):
             draw_realization(spec, 3)
         with pytest.raises(InputError):
             draw_realizations(spec, [1, 2, 3])
+        with pytest.raises(InputError):
+            dist.quantile(0.999)
 
     def test_seed_at_or_above_2_64_rejected(self):
         # the seed is hashed as 8 bytes: 2**64 + 5 would draw what seed 5 draws

@@ -78,6 +78,12 @@ class TestInstanceIO:
             (lambda d: d["edges"][0]["dist"].update(params=[1, 2, 3]), "parameter"),
             (lambda d: d.update(vertices=-1), "vertices"),
             (lambda d: d["edges"].append(dict(d["edges"][0])), "duplicate"),
+            # JSON true and false parse as Python bools, which are ints
+            (lambda d: d.update(vertices=True), "non-negative integer"),
+            (lambda d: d["edges"][0].update(u=False, v=True), "u and v"),
+            (lambda d: d["edges"][0]["dist"].update(params=[False, True]), "list of numbers"),
+            (lambda d: d.update(kind="bipartite", buyers=[False], items=[1]), "buyers"),
+            (lambda d: d.update(kind="bipartite", buyers=[0], items=[True]), "items"),
         ],
     )
     def test_schema_diagnostics(self, mutate, fragment):
@@ -468,6 +474,25 @@ class TestInvariantSuitePlumbing:
         for r in report.results:
             if r.kind == "exact":
                 assert r.passed, r
+
+    @pytest.mark.parametrize(
+        "check, matches",
+        [
+            ("check_edge_coupling", "10/10 exact matches, 0 matching-validity failures"),
+            ("check_vertex_coupling", "10/10 exact matches, 0 structural failures"),
+            ("check_maximality", "0 non-maximal outcomes over 10 runs"),
+        ],
+        ids=["edge_coupling", "vertex_coupling", "maximality"],
+    )
+    def test_kernel_mismatch_is_named_apart(self, monkeypatch, check, matches):
+        # a batched kernel that disagrees with the per-trial runs fails the
+        # check, and the detail blames the kernel, not the twin or the mechanism
+        from prophet_matching import invariants
+
+        monkeypatch.setattr(invariants, "_kernel_agrees", lambda *args: False)
+        result = getattr(invariants, check)(10)
+        assert not result.passed
+        assert result.detail == f"{matches}, 10 batched-kernel mismatches"
 
     @pytest.mark.parametrize(
         "field,value",

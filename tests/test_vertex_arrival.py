@@ -89,7 +89,8 @@ class TestOffline:
             samples=[(5, 11), (4, 12), (6, 13)],
             reals=[(2, 21), (3, 22), (1, 23)],
         )
-        trace = run_offline_vertex(spec, real, [0, 1], coins=lambda e: False)
+        # every sample outranks its real draw, so every coupled coin is tails
+        trace = run_offline_vertex(spec, real, [0, 1])
         assert trace.record.feasible == ()
         # greedy on larger draws (5, 4, 6): edge 2 then edge 1
         assert trace.record.sample_matching.edges == {2, 1}
@@ -117,9 +118,9 @@ class TestOffline:
         real = realization(samples=[(1, 11)], reals=[(7, 12)])
         trace = run_offline_vertex(spec, real, [0])
         # the real copy was taken feasible, then the sample copy matched
-        assert trace.open_buyers_real == frozenset()
-        assert trace.open_buyers_sample == frozenset()
-        assert trace.open_items == frozenset()
+        assert trace.record.feasible == (0,)
+        assert trace.record.sample_matching.edges == {0}
+        assert trace.record.matching.edges == {0}
 
 
 class TestSafeMatching:
