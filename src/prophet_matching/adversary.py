@@ -42,6 +42,10 @@ class OrderStrategy:
                 raise InputError("order ids must be integers") from None
         if self.kind == "fixed" and self.order is None:
             raise InputError("fixed order needs an explicit permutation")
+        if self.kind != "fixed" and self.order is not None:
+            raise InputError(f"a {self.kind} order takes no explicit permutation")
+        if self.kind != "adaptive" and self.policy is not None:
+            raise InputError(f"a {self.kind} order takes no adaptive policy")
         if self.kind == "adaptive" and self.policy not in ADAPTIVE_POLICIES:
             raise InputError(
                 f"unknown adaptive policy {self.policy!r}; "
@@ -126,21 +130,24 @@ class BlockBestController:
         self._graph = graph
         self._real = real
         self._remaining = set(range(graph.num_edges))
+        self._feasible: set[int] | None = None  # unarrived edges that clear both prices
 
     def next_arrival(self, view: AlgorithmView) -> int:
         graph, real = self._graph, self._real
-        prices, m = view.prices, graph.num_edges
-        feasible = [
-            e
-            for e in self._remaining
-            if prices.beaten_by(m + e, graph.edges[e][0])
-            and prices.beaten_by(m + e, graph.edges[e][1])
-        ]
+        if self._feasible is None:
+            # the prices are set before the first step and never change
+            price = view.prices.ranks(graph.num_vertices)
+            real_rank = real.rank[graph.num_edges :]
+            self._feasible = {
+                e
+                for e, (u, v) in enumerate(graph.edges)
+                if real_rank[e] < price[u] and real_rank[e] < price[v]
+            }
+        matched = view.matched_vertices
         acceptable = [
             e
-            for e in feasible
-            if graph.edges[e][0] not in view.matched_vertices
-            and graph.edges[e][1] not in view.matched_vertices
+            for e in self._feasible
+            if graph.edges[e][0] not in matched and graph.edges[e][1] not in matched
         ]
         if acceptable:
             acc = set(acceptable)
@@ -157,6 +164,7 @@ class BlockBestController:
         else:
             choice = min(self._remaining, key=lambda e: (real.real_values[e], e))
         self._remaining.remove(choice)
+        self._feasible.discard(choice)
         return choice
 
 
@@ -172,24 +180,28 @@ class StarveItemsController:
         self._graph = graph
         self._real = real
         self._remaining = set(graph.buyers)
-
-    def _best_item(self, buyer: int, view: AlgorithmView) -> int | None:
-        graph, rank = self._graph, self._real.rank
-        m = graph.num_edges
-        best = None
-        for e in graph.incident[buyer]:
-            _, j = graph.buyer_item(e)
-            if j in view.matched_vertices:
-                continue
-            if view.prices.beaten_by(m + e, buyer) and view.prices.beaten_by(m + e, j):
-                if best is None or rank[m + e] < rank[m + best]:
-                    best = e
-        if best is None:
-            return None
-        return graph.buyer_item(best)[1]
+        # per buyer, the items of the edges that clear both prices, best edge first
+        self._wanted: dict[int, list[int]] | None = None
 
     def next_arrival(self, view: AlgorithmView) -> int:
-        targets = {i: self._best_item(i, view) for i in self._remaining}
+        if self._wanted is None:
+            # the prices are set before the first step and never change
+            graph = self._graph
+            price = view.prices.ranks(graph.num_vertices)
+            real_rank = self._real.rank[graph.num_edges :]
+            self._wanted = {}
+            for i in self._remaining:
+                clearing = [
+                    (real_rank[e], j)
+                    for e, j in graph.adjacent[i]
+                    if real_rank[e] < price[i] and real_rank[e] < price[j]
+                ]
+                self._wanted[i] = [j for _, j in sorted(clearing)]
+        matched = view.matched_vertices
+        # a buyer's target is the item of its best clearing edge to a free item
+        targets = {
+            i: next((j for j in self._wanted[i] if j not in matched), None) for i in self._remaining
+        }
         contest: dict[int, int] = {}
         for j in targets.values():
             if j is not None:

@@ -110,6 +110,16 @@ class Graph:
         return tuple(tuple(x) for x in inc)
 
     @cached_property
+    def adjacent(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The (edge id, other endpoint) pairs of the edges at each vertex,
+        in ``incident`` order: a buyer's edges with their items."""
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.num_vertices)]
+        for eid, (u, v) in enumerate(self.edges):
+            adj[u].append((eid, v))
+            adj[v].append((eid, u))
+        return tuple(tuple(x) for x in adj)
+
+    @cached_property
     def buyer_items(self) -> tuple[tuple[int, int], ...]:
         """Every edge oriented as (buyer, item), indexed by edge id."""
         buyers = frozenset(self.buyers)
@@ -187,16 +197,28 @@ def sort_draws(values: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.nda
     per row.  Returns every row's ``order`` (draw ids from best to worst) and
     ``rank`` (each draw's place in that order), and the rows in which a key
     repeats, which leaves them without a strict order.
+
+    When no row holds a tied value, one argsort of the values orders every
+    row, and the keys are only sorted to find repeats.  Otherwise every row
+    is sorted by key, then stably by value, which keeps equal values in key
+    order.  A chunk of draws from one instance is tie-free in every row (a
+    continuous distribution) or ties in nearly every row (a point mass or a
+    Bernoulli), so the choice is made per call.
     """
     n, w = keys.shape
     offsets = w * np.arange(n)[:, None]  # row starts in the flattened arrays
-    by_key = keys.argsort(axis=1)
-    by_key += offsets
-    sorted_keys = keys.take(by_key)
+    order = (-values).argsort(axis=1)
+    order += offsets
+    down = values.take(order)
+    if (down[:, :-1] > down[:, 1:]).all():  # False at any tie or NaN
+        sorted_keys = np.sort(keys, axis=1)
+    else:
+        by_key = keys.argsort(axis=1)
+        by_key += offsets
+        sorted_keys = keys.take(by_key)
+        order = by_key.take((-values.take(by_key)).argsort(axis=1, kind="stable") + offsets)
     repeated = sorted_keys[:, 1:] == sorted_keys[:, :-1]
     repeated = np.flatnonzero(repeated.any(axis=1)).tolist() if np.count_nonzero(repeated) else []
-    # a stable sort by value keeps equal values in key order
-    order = by_key.take((-values.take(by_key)).argsort(axis=1, kind="stable") + offsets)
     rank = np.empty_like(order)
     rank.put(order, np.arange(w))  # put repeats the w places over every row
     order -= offsets
@@ -210,9 +232,11 @@ class Realization:
     The 2m draws are two arrays indexed by draw id: ``values`` (float64) and
     ``keys`` (uint64 tie-break keys).  Edge e's sample is draw e and its real
     value is draw m+e.  The keys are unique, so sorting the draws once by
-    ``(-value, key)`` is a strict total order: ``order`` lists the draw ids
-    from best to worst and ``rank[d]`` is draw d's place in it, so "draw a
-    outranks draw b" is ``rank[a] < rank[b]``.
+    ``(-value, key)`` is a strict total order: ``order_array`` lists the draw
+    ids from best to worst and ``rank_array[d]`` is draw d's place in it, so
+    "draw a outranks draw b" is ``rank[a] < rank[b]``.  ``order`` and
+    ``rank`` are the same two rows as tuples of ints, built on first use, for
+    code that reads them one draw at a time.
 
     The library reads the values as Python floats, from ``sample_values``
     and ``real_values`` (indexed by edge id).  ``samples`` and ``reals`` are
@@ -221,8 +245,8 @@ class Realization:
 
     values: np.ndarray
     keys: np.ndarray
-    order: tuple[int, ...] = field(init=False, repr=False)
-    rank: tuple[int, ...] = field(init=False, repr=False)
+    order_array: np.ndarray = field(init=False, repr=False)
+    rank_array: np.ndarray = field(init=False, repr=False)
     sample_values: tuple[float, ...] = field(init=False, repr=False)
     real_values: tuple[float, ...] = field(init=False, repr=False)
 
@@ -237,24 +261,24 @@ class Realization:
         order, rank, repeated = sort_draws(values[None], keys[None])
         if repeated:
             raise ContractViolation("tie-break keys are not globally unique")
-        order = order[0].tolist()
         # the sort puts +inf first, and negative values and NaN last
-        for d in order[:1] + order[-1:]:
+        for d in order[0, :1].tolist() + order[0, -1:].tolist():
             if not 0 <= values[d] < math.inf:
                 raise InputError(f"drawn value {values[d]} is negative or not finite")
-        self._fill(values, keys, order, rank[0].tolist(), values.tolist())
+        self._fill(values, keys, order[0], rank[0], values.tolist())
 
     @classmethod
     def _presorted(
         cls,
         values: np.ndarray,
         keys: np.ndarray,
-        order: list[int],
-        rank: list[int],
+        order: np.ndarray,
+        rank: np.ndarray,
         flat: list[float],
     ) -> "Realization":
         """A realization of draws ``sort_draws`` has already ordered and checked;
-        ``flat`` is ``values`` as a list of floats."""
+        ``order`` and ``rank`` are its rows, and ``flat`` is ``values`` as a
+        list of floats."""
         out = object.__new__(cls)
         out._fill(values, keys, order, rank, flat)
         return out
@@ -263,19 +287,19 @@ class Realization:
         self,
         values: np.ndarray,
         keys: np.ndarray,
-        order: list[int],
-        rank: list[int],
+        order: np.ndarray,
+        rank: np.ndarray,
         flat: list[float],
     ):
-        values.setflags(write=False)
-        keys.setflags(write=False)
+        for array in (values, keys, order, rank):
+            array.setflags(write=False)
         m = len(flat) // 2
         # a frozen dataclass: fill the fields past its __setattr__
         self.__dict__.update(
             values=values,
             keys=keys,
-            order=tuple(order),
-            rank=tuple(rank),
+            order_array=order,
+            rank_array=rank,
             sample_values=tuple(flat[:m]),
             real_values=tuple(flat[m:]),
         )
@@ -293,6 +317,16 @@ class Realization:
         return len(self.sample_values)
 
     @cached_property
+    def order(self) -> tuple[int, ...]:
+        """Draw ids from best to worst: ``order_array`` as a tuple."""
+        return tuple(self.order_array.tolist())
+
+    @cached_property
+    def rank(self) -> tuple[int, ...]:
+        """Each draw's place in ``order``: ``rank_array`` as a tuple."""
+        return tuple(self.rank_array.tolist())
+
+    @cached_property
     def samples(self) -> tuple[DrawnValue, ...]:
         """Edge e's sample draw, as a ``DrawnValue`` view."""
         return tuple(map(DrawnValue, self.sample_values, self.keys[: self.num_edges].tolist()))
@@ -304,8 +338,10 @@ class Realization:
 
     def edge_order(self, copy: int) -> list[int]:
         """Edge ids from best to worst by their sample (copy 0) or real (copy 1) draw."""
-        lo, hi = copy * self.num_edges, (copy + 1) * self.num_edges
-        return [d - lo for d in self.order if lo <= d < hi]
+        m, order = self.num_edges, self.order_array
+        if copy:
+            return (order[order >= m] - m).tolist()
+        return order[order < m].tolist()
 
     def swap_copies(self, edges: Iterable[int]) -> "Realization":
         """This realization with the sample and real draws of ``edges`` swapped.
@@ -315,13 +351,13 @@ class Realization:
         instead of being sorted again.
         """
         m = self.num_edges
-        swap = list(range(2 * m))
-        for e in edges:
-            swap[e], swap[m + e] = m + e, e
+        swap = np.arange(2 * m)
+        edges = np.fromiter(edges, dtype=np.intp)
+        swap[edges], swap[m + edges] = m + edges, edges
         values = self.values[swap]
-        order = [swap[d] for d in self.order]
-        rank = [self.rank[d] for d in swap]
-        return Realization._presorted(values, self.keys[swap], order, rank, values.tolist())
+        return Realization._presorted(
+            values, self.keys[swap], swap[self.order_array], self.rank_array[swap], values.tolist()
+        )
 
 
 def matching_weight(edge_ids: Iterable[int], values: Sequence[float]) -> float:
@@ -386,6 +422,19 @@ class PriceTable:
         """Does draw id ``draw`` rank strictly above this vertex's threshold?"""
         origin = self.origins.get(vertex)
         return origin is None or self.real.rank[draw] < self.real.rank[origin]
+
+    def ranks(self, num_vertices: int) -> list[int]:
+        """Every vertex's threshold as a rank: that of the sample that priced
+        it, or 2m, which every draw outranks.
+
+        The prices of a run never change, so a run builds this list once and
+        ``beaten_by(d, x)`` is ``real.rank[d] < ranks[x]``.
+        """
+        out = [2 * self.real.num_edges] * num_vertices
+        ranks = self.real.rank_array[list(self.origins.values())].tolist()
+        for x, rank in zip(self.origins, ranks):
+            out[x] = rank
+        return out
 
     @classmethod
     def from_matching(cls, graph: Graph, matching: Matching, real: Realization) -> "PriceTable":

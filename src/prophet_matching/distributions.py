@@ -320,9 +320,9 @@ def draw_batch(spec: InstanceSpec, seeds) -> tuple[np.ndarray, np.ndarray, list[
 
         keys[t] = _unique_keys(keys[t], rekey)
         order[t], rank[t], _ = sort_draws(values[t : t + 1], keys[t : t + 1])
-    flat, orders, ranks = values.tolist(), order.tolist(), rank.tolist()
+    flat = values.tolist()
     reals = [
-        Realization._presorted(values[t], keys[t], orders[t], ranks[t], flat[t]) for t in range(n)
+        Realization._presorted(values[t], keys[t], order[t], rank[t], flat[t]) for t in range(n)
     ]
     # read-only, as each realization's own arrays are: its values are a row view
     values.setflags(write=False)

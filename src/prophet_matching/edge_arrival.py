@@ -76,16 +76,18 @@ def _effective_labels(real: Realization, coins: Callable[[int], bool] | None) ->
     return real.swap_copies(e for e in range(m) if coins(e) != (rank[m + e] < rank[e]))
 
 
-def _drive_arrivals(spec: InstanceSpec, real: Realization, order, elements, noun: str, choose):
+def _drive_arrivals(spec: InstanceSpec, real: Realization, order, elements, noun: str, chooser):
     """The online loop every model shares; returns the run's record.
 
     Prices every vertex by the greedy matching on the samples, then releases
     ``elements`` (edge or buyer ids) in ``order``: a permutation of them, or
-    a controller whose ``next_arrival(view)`` picks each next arrival.  For
-    every arrival ``choose(element, prices, matched)`` names the edge acted
-    on, or None, and whether its real value outranks both endpoint prices.
-    An edge that clears both prices joins the feasible set, and the matching
-    too if both endpoints are still free.
+    a controller whose ``next_arrival(view)`` picks each next arrival.  The
+    prices never change after that, so ``chooser(prices)`` builds the
+    model's ``choose`` once they are set.  For every arrival
+    ``choose(element, matched)`` names the edge acted on, or None, and
+    whether its real value outranks both endpoint prices.  An edge that
+    clears both prices joins the feasible set, and the matching too if both
+    endpoints are still free.
     """
     graph = spec.graph
     if real.num_edges != graph.num_edges:
@@ -96,6 +98,7 @@ def _drive_arrivals(spec: InstanceSpec, real: Realization, order, elements, noun
     allowed = set(elements)
     sample_matching = greedy_matching(graph, real.edge_order(0), real.sample_values)
     prices = PriceTable.from_matching(graph, sample_matching, real)
+    choose = chooser(prices)
 
     matched: set[int] = set()
     accepted: list[int] = []
@@ -116,7 +119,7 @@ def _drive_arrivals(spec: InstanceSpec, real: Realization, order, elements, noun
             if x in arrived:
                 raise ContractViolation(f"controller released {noun} {x} twice")
         arrived.add(x)
-        e, clears_prices = choose(x, prices, matched)
+        e, clears_prices = choose(x, matched)
         if e is None:
             events.append(ArrivalEvent(step=step, element=x, outcome="no_feasible_edge"))
             continue
@@ -333,11 +336,14 @@ def run_online_edge(spec: InstanceSpec, real: Realization, order) -> RunRecord:
     graph = spec.graph
     m = graph.num_edges
 
-    def choose(e, prices, matched):
-        u, v = graph.edges[e]
-        return e, prices.beaten_by(m + e, u) and prices.beaten_by(m + e, v)
+    def chooser(prices):
+        def choose(e, matched):
+            u, v = graph.edges[e]
+            return e, prices.beaten_by(m + e, u) and prices.beaten_by(m + e, v)
 
-    return _drive_arrivals(spec, real, order, range(graph.num_edges), "edge", choose)
+        return choose
+
+    return _drive_arrivals(spec, real, order, range(graph.num_edges), "edge", chooser)
 
 
 @dataclass(frozen=True)
@@ -486,7 +492,7 @@ def _kernel_agrees(
     weight.
     """
     orders = np.array([order], dtype=np.intp).reshape(1, -1)
-    runs = _static_batch(model, graph, real.values[None], np.array([real.rank]), orders)
+    runs = _static_batch(model, graph, real.values[None], real.rank_array[None], orders)
     pairs = [
         (runs.matching, runs.matching_weight, record.matching.edges, record.matching.weight),
         (runs.sample_matching, runs.sample_matching_weight,

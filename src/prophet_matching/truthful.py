@@ -74,30 +74,33 @@ def run_truthful(
         claimed = Realization(values=values, keys=real.keys)
     rank, claimed_values = claimed.rank, claimed.real_values
 
-    def choose(i, prices, matched):
-        best_edge = None
-        best_surplus = None
-        for e in graph.incident[i]:
-            _, j = graph.buyer_item(e)
-            if j in matched:
-                continue
-            # prices hold sample draw ids, and the claimed realization keeps the samples
-            priced_by = (prices.origins.get(i), prices.origins.get(j))
-            if not all(o is None or rank[m + e] < rank[o] for o in priced_by):
-                continue
-            offered = max(prices.price(i), prices.price(j))
-            surplus = claimed_values[e] - offered
-            if (
-                best_edge is None
-                or surplus > best_surplus
-                or (surplus == best_surplus and rank[m + e] < rank[m + best_edge])
-            ):
-                best_edge, best_surplus = e, surplus
-        return best_edge, True
+    def chooser(prices):
+        def choose(i, matched):
+            best_edge = None
+            best_surplus = None
+            for e in graph.incident[i]:
+                _, j = graph.buyer_item(e)
+                if j in matched:
+                    continue
+                # prices hold sample draw ids, and the claimed realization keeps the samples
+                priced_by = (prices.origins.get(i), prices.origins.get(j))
+                if not all(o is None or rank[m + e] < rank[o] for o in priced_by):
+                    continue
+                offered = max(prices.price(i), prices.price(j))
+                surplus = claimed_values[e] - offered
+                if (
+                    best_edge is None
+                    or surplus > best_surplus
+                    or (surplus == best_surplus and rank[m + e] < rank[m + best_edge])
+                ):
+                    best_edge, best_surplus = e, surplus
+            return best_edge, True
+
+        return choose
 
     # the buyer picks among free items only, so every chosen edge is accepted
     # and the feasible set is the matching; the threshold is the price paid
-    record = _drive_arrivals(spec, real, order, graph.buyers, "buyer", choose)
+    record = _drive_arrivals(spec, real, order, graph.buyers, "buyer", chooser)
     charged: dict[int, float] = {}
     utilities: dict[int, float] = {}
     for ev in record.events:

@@ -42,18 +42,25 @@ def run_online_vertex(spec: InstanceSpec, real: Realization, order) -> RunRecord
     """
     graph = spec.graph
     _require_bipartite(graph)
-    m, rank = graph.num_edges, real.rank
+    adjacent = graph.adjacent
 
-    def choose(i, prices, matched):
-        best = None
-        for e in graph.incident[i]:
-            _, j = graph.buyer_item(e)
-            if prices.beaten_by(m + e, i) and prices.beaten_by(m + e, j):
-                if best is None or rank[m + e] < rank[m + best]:
-                    best = e
-        return best, True
+    def chooser(prices):
+        price = prices.ranks(graph.num_vertices)
+        real_rank = real.rank_array[graph.num_edges :].tolist()
 
-    return _drive_arrivals(spec, real, order, graph.buyers, "buyer", choose)
+        def choose(i, matched):
+            # the least-ranked edge that clears both prices: starting from the
+            # buyer's price, one compare tests that price and the best so far
+            best, least = None, price[i]
+            for e, j in adjacent[i]:
+                r = real_rank[e]
+                if r < least and r < price[j]:
+                    best, least = e, r
+            return best, True
+
+        return choose
+
+    return _drive_arrivals(spec, real, order, graph.buyers, "buyer", chooser)
 
 
 @dataclass(frozen=True)
@@ -76,12 +83,12 @@ def build_safe_matching(graph: Graph, feasible: Sequence[int], real: Realization
     online run's feasible set gives the twin's safe matching (they are equal
     under the coupling).
     """
-    m, rank = real.num_edges, real.rank
+    real_rank = real.rank_array[real.num_edges :]
     best_for_item: dict[int, int] = {}
     for e in feasible:
         _, j = graph.buyer_item(e)
         cur = best_for_item.get(j)
-        if cur is None or rank[m + e] < rank[m + cur]:
+        if cur is None or real_rank[e] < real_rank[cur]:
             best_for_item[j] = e
     return Matching.from_edges(best_for_item.values(), real.real_values)
 

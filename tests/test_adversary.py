@@ -11,14 +11,20 @@ from prophet_matching.adversary import (
     parse_order_spec,
     static_order,
 )
-from prophet_matching.core import InputError
+from prophet_matching.core import AlgorithmView, Graph, InputError, Realization
 from prophet_matching.distributions import DistSpec, InstanceSpec, draw_realization
 from prophet_matching.edge_arrival import run_online_edge
 from prophet_matching.harness import resolve_order
+from prophet_matching.instances import complete_bipartite, complete_graph
 from prophet_matching.invariants import random_small_instance
+from prophet_matching.truthful import run_truthful
 from prophet_matching.vertex_arrival import run_online_vertex
 
 from conftest import bipartite_graph, general_graph, realization
+
+
+def run_truthful_record(spec, real, order):
+    return run_truthful(spec, real, order).record
 
 
 class TestParsing:
@@ -52,6 +58,22 @@ class TestParsing:
     )
     def test_non_integer_order_rejected(self, fields):
         # a float order id used to pass static_order's permutation check
+        with pytest.raises(InputError):
+            OrderStrategy(**fields)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"kind": "random", "order": (7, 7, 7)},
+            {"kind": "dec", "order": (0, 1)},
+            {"kind": "adaptive", "policy": "block-best", "order": (0, 1)},
+            {"kind": "random", "policy": "nope"},
+            {"kind": "inc", "policy": "block-best"},
+            {"kind": "fixed", "order": (0, 1), "policy": "starve-items"},
+        ],
+    )
+    def test_fields_of_another_kind_rejected(self, fields):
+        # an order is read only by the fixed kind, a policy only by adaptive
         with pytest.raises(InputError):
             OrderStrategy(**fields)
 
@@ -186,3 +208,115 @@ class TestAdaptivePolicies:
             assert live == replayed
         # static orders come without a record: their run happens outside
         assert resolve_order(OrderStrategy(kind="random"), "edge", spec, real)[1] is None
+
+
+class PerStepBlockBest:
+    """``BlockBestController`` as it was, testing every price at every step;
+    the reference for the controller that tests them once per run."""
+
+    def __init__(self, graph: Graph, real: Realization):
+        self._graph = graph
+        self._real = real
+        self._remaining = set(range(graph.num_edges))
+
+    def next_arrival(self, view: AlgorithmView) -> int:
+        graph, real = self._graph, self._real
+        prices, m = view.prices, graph.num_edges
+        feasible = [
+            e
+            for e in self._remaining
+            if prices.beaten_by(m + e, graph.edges[e][0])
+            and prices.beaten_by(m + e, graph.edges[e][1])
+        ]
+        acceptable = [
+            e
+            for e in feasible
+            if graph.edges[e][0] not in view.matched_vertices
+            and graph.edges[e][1] not in view.matched_vertices
+        ]
+        if acceptable:
+            acc = set(acceptable)
+
+            def blocked_weight(e: int) -> float:
+                u, v = graph.edges[e]
+                total = 0.0
+                for e2 in graph.incident[u] + graph.incident[v]:
+                    if e2 != e and e2 in acc:
+                        total += real.real_values[e2]
+                return total
+
+            choice = max(acceptable, key=lambda e: (blocked_weight(e), -e))
+        else:
+            choice = min(self._remaining, key=lambda e: (real.real_values[e], e))
+        self._remaining.remove(choice)
+        return choice
+
+
+class PerStepStarveItems:
+    """``StarveItemsController`` as it was, scanning every buyer's edges at
+    every step; the reference for the controller that ranks them once."""
+
+    def __init__(self, graph: Graph, real: Realization):
+        self._graph = graph
+        self._real = real
+        self._remaining = set(graph.buyers)
+
+    def _best_item(self, buyer: int, view: AlgorithmView) -> int | None:
+        graph, rank = self._graph, self._real.rank
+        m = graph.num_edges
+        best = None
+        for e in graph.incident[buyer]:
+            _, j = graph.buyer_item(e)
+            if j in view.matched_vertices:
+                continue
+            if view.prices.beaten_by(m + e, buyer) and view.prices.beaten_by(m + e, j):
+                if best is None or rank[m + e] < rank[m + best]:
+                    best = e
+        if best is None:
+            return None
+        return graph.buyer_item(best)[1]
+
+    def next_arrival(self, view: AlgorithmView) -> int:
+        targets = {i: self._best_item(i, view) for i in self._remaining}
+        contest: dict[int, int] = {}
+        for j in targets.values():
+            if j is not None:
+                contest[j] = contest.get(j, 0) + 1
+        with_target = [i for i, j in targets.items() if j is not None]
+        if with_target:
+            choice = max(with_target, key=lambda i: (contest[targets[i]], -i))
+        else:
+            choice = min(self._remaining)
+        self._remaining.remove(choice)
+        return choice
+
+
+TIED = (DistSpec.point_mass(1.0), DistSpec.point_mass(0.0), DistSpec.bernoulli_scaled(0.5, 2.0))
+
+
+class TestControllersMatchPerStepReferences:
+    """Same releases and same records as the per-step controllers."""
+
+    @staticmethod
+    def _runs(rng, specs, run, new, reference):
+        for spec in specs:
+            for _ in range(5):
+                real = draw_realization(spec, int(rng.integers(0, 2**63)))
+                got = run(spec, real, new(spec.graph, real))
+                want = run(spec, real, reference(spec.graph, real))
+                assert [ev.element for ev in got.events] == [ev.element for ev in want.events]
+                assert got == want
+
+    def test_block_best(self):
+        rng = np.random.default_rng(67)
+        specs = [random_small_instance(rng, bipartite=False) for _ in range(60)]
+        specs += [complete_graph(6, dist) for dist in TIED] + [complete_bipartite(3, 4, TIED[2])]
+        self._runs(rng, specs, run_online_edge, BlockBestController, PerStepBlockBest)
+
+    @pytest.mark.parametrize("run", [run_online_vertex, run_truthful_record])
+    def test_starve_items(self, run):
+        rng = np.random.default_rng(71)
+        specs = [random_small_instance(rng, bipartite=True) for _ in range(60)]
+        specs += [complete_bipartite(4, 4, dist) for dist in TIED]
+        specs += [complete_bipartite(3, 6, dist) for dist in TIED]
+        self._runs(rng, specs, run, StarveItemsController, PerStepStarveItems)

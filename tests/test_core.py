@@ -14,6 +14,7 @@ from prophet_matching.core import (
     Matching,
     PriceTable,
     Realization,
+    sort_draws,
     validate_matching,
 )
 from prophet_matching.distributions import DistSpec, draw_realization
@@ -101,6 +102,11 @@ class TestGraph:
         with pytest.raises(InputError):
             Graph(2, ((0, 1),), "bipartite", buyers=(0,), items=(1, 1))
 
+    def test_adjacent_pairs_each_edge_with_its_other_end(self):
+        g = general_graph(4, [(0, 1), (2, 1), (3, 0)])
+        assert g.adjacent == (((0, 1), (2, 3)), ((0, 0), (1, 2)), ((1, 1),), ((2, 0),))
+        assert [[e for e, _ in pairs] for pairs in g.adjacent] == [list(x) for x in g.incident]
+
     def test_buyer_item_orientation(self):
         g = Graph(
             num_vertices=4,
@@ -163,6 +169,28 @@ class TestPriceTable:
         assert table.price(3) == 0.0
         assert table.beaten_by(1, 3)  # even a zero-value draw
 
+    def test_ranks_agree_with_beaten_by(self):
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            spec = random_small_instance(rng)
+            real = draw_realization(spec, int(rng.integers(0, 2**63)))
+            graph, m = spec.graph, spec.graph.num_edges
+            edges = [e for e in rng.permutation(m).tolist() if rng.random() < 0.5]
+            used, chosen = set(), []
+            for e in edges:
+                if not used & set(graph.edges[e]):
+                    used.update(graph.edges[e])
+                    chosen.append(e)
+            sample = Matching.from_edges(chosen, real.sample_values)
+            table = PriceTable.from_matching(graph, sample, real)
+            ranks = table.ranks(graph.num_vertices)
+            assert [ranks[x] == 2 * m for x in range(graph.num_vertices)] == [
+                x not in used for x in range(graph.num_vertices)
+            ]
+            for d in range(2 * m):
+                for x in range(graph.num_vertices):
+                    assert (real.rank[d] < ranks[x]) == table.beaten_by(d, x)
+
 
 class TestRealization:
     def test_duplicate_keys_fatal(self):
@@ -219,3 +247,94 @@ class TestRealization:
         for bad in (math.nan, math.inf):
             with pytest.raises(InputError):
                 realization(samples=[(1, 5)], reals=[(bad, 6)])
+
+
+def _two_pass_sort(values, keys):
+    """The reference ``sort_draws``: every row sorted by key, then stably by value."""
+    n, w = keys.shape
+    offsets = w * np.arange(n)[:, None]
+    by_key = keys.argsort(axis=1)
+    by_key += offsets
+    sorted_keys = keys.take(by_key)
+    repeated = sorted_keys[:, 1:] == sorted_keys[:, :-1]
+    repeated = np.flatnonzero(repeated.any(axis=1)).tolist() if np.count_nonzero(repeated) else []
+    order = by_key.take((-values.take(by_key)).argsort(axis=1, kind="stable") + offsets)
+    rank = np.empty_like(order)
+    rank.put(order, np.arange(w))
+    order -= offsets
+    return order, rank, repeated
+
+
+class TestSortDraws:
+    """``sort_draws`` against the two-pass sort it replaces, row for row."""
+
+    @staticmethod
+    def _check(values, keys):
+        got, want = sort_draws(values, keys), _two_pass_sort(values, keys)
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1].tolist() == want[1].tolist()
+        assert got[2] == want[2]
+        return got
+
+    @staticmethod
+    def _keys(rng, shape):
+        return rng.integers(0, 2**64, shape, dtype=np.uint64)
+
+    def test_tie_free_rows(self):
+        rng = np.random.default_rng(3)
+        for shape in [(1, 5000), (200, 24), (10, 380), (3, 2), (1, 0), (0, 6)]:
+            self._check(rng.random(shape), self._keys(rng, shape))
+
+    @pytest.mark.parametrize("p", [1.0, 0.5, 0.3])
+    def test_point_mass_and_bernoulli_rows(self, p):
+        # p = 1 ties every value of a row; Bernoulli rows tie about half
+        rng = np.random.default_rng(int(p * 10))
+        for shape in [(200, 24), (113, 36), (1, 5000)]:
+            values = np.where(rng.random(shape) < p, 2.0, 0.0)
+            self._check(values, self._keys(rng, shape))
+
+    def test_mixed_chunks(self):
+        # tie-free rows and tied rows of one chunk, in every interleaving;
+        # the ties include 0.0 against -0.0 and +inf against +inf
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            n, w = int(rng.integers(1, 12)), int(rng.integers(2, 40))
+            values = rng.random((n, w))
+            for t in np.flatnonzero(rng.random(n) < 0.5):
+                a, b = rng.choice(w, 2, replace=False)
+                values[t, a] = values[t, b] = rng.choice([values[t, a], 0.0, math.inf])
+                if values[t, a] == 0.0:
+                    values[t, b] = -0.0
+            self._check(values, self._keys(rng, (n, w)))
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_repeated_key_is_reported(self, tied):
+        # far apart, so that only a sort of the keys puts the repeats side by side
+        rng = np.random.default_rng(5)
+        values = rng.random((6, 10))
+        if tied:
+            values[3:] = np.round(values[3:])
+        keys = self._keys(rng, (6, 10))
+        for t in (1, 4):
+            keys[t, 8] = keys[t, 1]
+        assert self._check(values, keys)[2] == [1, 4]
+
+    def test_nan_rows_sort_as_before(self):
+        # NaN compares unequal to itself, so a row holding one takes the key path
+        rng = np.random.default_rng(8)
+        values = rng.random((4, 12))
+        values[0, 3] = values[1, 3] = values[1, 8] = math.nan
+        values[2, 5] = math.inf
+        self._check(values, self._keys(rng, (4, 12)))
+
+    def test_nan_and_inf_values_rejected(self):
+        rng = np.random.default_rng(12)
+        nan, inf = math.nan, math.inf
+        for bad in ([nan], [nan, nan], [inf], [inf, inf], [nan, inf]):
+            for tied in (False, True):
+                values = (np.ones(8) if tied else rng.random(8)).tolist()
+                places = rng.choice(8, len(bad), replace=False)
+                for place, value in zip(places, bad):
+                    values[place] = value
+                with pytest.raises(InputError):
+                    Realization(values=values, keys=list(range(8)))

@@ -377,3 +377,34 @@ class TestStaticBatch:
                 _assert_kernel_matches_driver(
                     model, spec, list(range(30)), OrderStrategy(kind=kind)
                 )
+
+
+def _bipartite_with_loners(buyers: int, items: int) -> InstanceSpec:
+    """Complete bipartite buyers x items, plus one buyer and one item without edges."""
+    b = list(range(buyers + 1))
+    i = list(range(buyers + 1, buyers + items + 2))
+    edges = [(x, y) for x in b[:-1] for y in i[:-1]]
+    return InstanceSpec(bipartite_graph(b, i, edges), (DistSpec.uniform(0.0, 1.0),) * len(edges))
+
+
+class TestVertexDriverPastTableCap:
+    """The per-trial vertex driver, which graphs without a matching table
+    take, against the batched kernel on the same draws."""
+
+    @pytest.mark.parametrize("shape", [(8, 9), (12, 12)])
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            DistSpec.uniform(0.0, 1.0),
+            DistSpec.point_mass(1.0),
+            DistSpec.point_mass(0.0),
+            DistSpec.bernoulli_scaled(0.3, 2.0),
+        ],
+        ids=["uniform", "point-mass", "point-mass-zero", "bernoulli"],
+    )
+    def test_driver_matches_kernel(self, shape, dist):
+        plain = _bipartite_with_loners(*shape)
+        spec = InstanceSpec(plain.graph, (dist,) * plain.graph.num_edges)
+        assert spec.graph.matching_table is None
+        for kind in ("random", "dec", "inc"):
+            _assert_kernel_matches_driver("vertex", spec, list(range(12)), OrderStrategy(kind=kind))
