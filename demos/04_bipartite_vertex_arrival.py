@@ -10,6 +10,7 @@ import numpy as np
 
 from prophet_matching import (
     DistSpec,
+    build_safe_matching,
     complete_bipartite,
     draw_realization,
     max_weight_matching,
@@ -29,10 +30,10 @@ opt = np.empty(trials)
 for t in range(trials):
     real = draw_realization(spec, trial_seed(9, t))
     order = [buyers[int(i)] for i in rng.permutation(len(buyers))]
-    trace = run_offline_vertex(spec, real, order)
-    ms[t] = trace.record.sample_matching.weight
-    safe[t] = trace.safe_matching.weight
-    matched[t] = trace.record.matching.weight
+    record = run_offline_vertex(spec, real, order)
+    ms[t] = record.sample_matching.weight
+    safe[t] = build_safe_matching(spec.graph, record.feasible, real).weight
+    matched[t] = record.matching.weight
     opt[t] = max_weight_matching(spec.graph, real.real_values).weight
 
 print(f"K44, uniform values, {trials} trials")

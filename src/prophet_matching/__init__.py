@@ -52,11 +52,6 @@ from .truthful import (
     run_truthful,
     sample_misreport,
 )
-from .vertex_arrival import (
-    VertexArrivalTrace,
-    build_safe_matching,
-    run_offline_vertex,
-    run_online_vertex,
-)
+from .vertex_arrival import build_safe_matching, run_offline_vertex, run_online_vertex
 
 __version__ = "0.1.0"

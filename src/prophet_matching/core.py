@@ -343,22 +343,6 @@ class Realization:
             return (order[order >= m] - m).tolist()
         return order[order < m].tolist()
 
-    def swap_copies(self, edges: Iterable[int]) -> "Realization":
-        """This realization with the sample and real draws of ``edges`` swapped.
-
-        Swapping edge e's two draws exchanges draw ids e and m+e and nothing
-        else, so the order and the rank are mapped through that exchange
-        instead of being sorted again.
-        """
-        m = self.num_edges
-        swap = np.arange(2 * m)
-        edges = np.fromiter(edges, dtype=np.intp)
-        swap[edges], swap[m + edges] = m + edges, edges
-        values = self.values[swap]
-        return Realization._presorted(
-            values, self.keys[swap], swap[self.order_array], self.rank_array[swap], values.tolist()
-        )
-
 
 def matching_weight(edge_ids: Iterable[int], values: Sequence[float]) -> float:
     """Sum of values over edges, accumulated in edge-id order.

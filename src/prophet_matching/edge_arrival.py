@@ -19,17 +19,19 @@ orders, which react to the run, take the loop.
 The offline twin replays the same outcome as a single greedy-style scan over
 all 2m draws (both copies of every edge) in the realization's ``order``,
 routing each edge's first considered copy to either the feasible set or the
-sample matching by a coin.  With the coupling coin convention (heads exactly
-when the first considered copy is the edge's real draw) the two produce
-identical feasible sets, sample matchings, and output matchings realization
-by realization, which is the strongest correctness check in the test suite.
+sample matching by a coin.  The coin is coupled to the realization (heads
+exactly when the first considered copy is the edge's real draw), so the two
+produce identical feasible sets, sample matchings, and output matchings
+realization by realization, which is the strongest correctness check in the
+test suite.  Any other coins are the coupled coins of the realization with
+the flipped edges' two draws swapped, which the coin-fairness check builds.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,23 +59,6 @@ def _check_order(order, elements, noun: str) -> list[int]:
     if sorted(order) != sorted(elements):
         raise InputError(f"order must be a permutation of the {noun} ids")
     return order
-
-
-def _effective_labels(real: Realization, coins: Callable[[int], bool] | None) -> Realization:
-    """Relabel which copy of each edge counts as the real draw.
-
-    The offline scan flips an edge's coin when its first (larger) copy is
-    considered: heads routes that copy to the feasible set, i.e. declares it
-    the real draw.  Fixing all coins up front and swapping labels accordingly
-    is equivalent, because the pool of active vertices only shrinks, so a copy
-    skipped once can never be considered later.  ``coins=None`` is the
-    coupling: heads exactly when the larger copy is already the real draw.
-    """
-    if coins is None:
-        return real
-    m, rank = real.num_edges, real.rank
-    # swap the edges whose coin disagrees with "the larger copy is real"
-    return real.swap_copies(e for e in range(m) if coins(e) != (rank[m + e] < rank[e]))
 
 
 def _drive_arrivals(spec: InstanceSpec, real: Realization, order, elements, noun: str, chooser):
@@ -358,7 +343,6 @@ class EdgeArrivalTrace:
     """
 
     record: RunRecord
-    considered_vertices: frozenset[int]
     first_edge: Mapping[int, int]
     safe: frozenset[int]
 
@@ -366,13 +350,11 @@ class EdgeArrivalTrace:
 def _compute_safe(
     graph: Graph,
     feasible: frozenset[int],
-    considered_vertices: frozenset[int],
     first_edge: Mapping[int, int],
     real_rank: Sequence[int],
 ) -> frozenset[int]:
     out = []
-    for v in considered_vertices:
-        e = first_edge[v]
+    for v, e in first_edge.items():
         if e not in feasible:
             continue
         a, b = graph.edges[e]
@@ -391,12 +373,7 @@ def _compute_safe(
 _FREE, _REAL_USED, _SAMPLE_USED = 0, 1, 2
 
 
-def run_offline_edge(
-    spec: InstanceSpec,
-    real: Realization,
-    order,
-    coins: Callable[[int], bool] | None = None,
-) -> EdgeArrivalTrace:
+def run_offline_edge(spec: InstanceSpec, real: Realization, order) -> EdgeArrivalTrace:
     """Run the offline twin: one scan over all 2m draws, from best to worst.
 
     A draw is considered when its edge is untouched and both endpoints are
@@ -405,21 +382,25 @@ def run_offline_edge(
     and adds the edge to the sample matching, retiring both endpoints.  The
     later, smaller copy of a feasible edge still joins the sample matching if
     its endpoints remain active.  Finally the output matching is extracted
-    from the feasible set in the given arrival order.  ``coins(e)`` forces
-    edge ``e``'s coin; None couples the coins to the realization, so that the
-    twin reproduces the online run exactly.
+    from the feasible set in the given arrival order.
+
+    The coins are coupled to the realization: heads exactly when the first
+    considered copy is the edge's real draw, so that the twin reproduces the
+    online run exactly.  Other coins are the coupled coins of a relabelled
+    realization, one whose flipped edges have their two draws swapped.
     """
     graph = spec.graph
     m = graph.num_edges
+    if real.num_edges != m:
+        raise InputError("realization does not match the instance graph")
     seq = _check_order(order, range(m), "edge")
-    eff = _effective_labels(real, coins)
 
     state = [_FREE] * m
     active = set(range(graph.num_vertices))
     feasible: list[int] = []
     sample_ids: list[int] = []
     first_edge: dict[int, int] = {}
-    for d in eff.order:
+    for d in real.order:
         e, is_real = d % m, d >= m
         u, v = graph.edges[e]
         if state[e] == _FREE and u in active and v in active:
@@ -447,20 +428,18 @@ def run_offline_edge(
                 accepted.append(e)
                 used.update((u, v))
 
-    sample_matching = Matching.from_edges(sample_ids, eff.sample_values)
+    sample_matching = Matching.from_edges(sample_ids, real.sample_values)
     record = RunRecord(
-        matching=Matching.from_edges(accepted, eff.real_values),
+        matching=Matching.from_edges(accepted, real.real_values),
         sample_matching=sample_matching,
         feasible=tuple(feasible),
-        feasible_weight=matching_weight(feasible, eff.real_values),
-        prices=PriceTable.from_matching(graph, sample_matching, eff),
+        feasible_weight=matching_weight(feasible, real.real_values),
+        prices=PriceTable.from_matching(graph, sample_matching, real),
     )
-    considered_vertices = frozenset(first_edge)
     return EdgeArrivalTrace(
         record=record,
-        considered_vertices=considered_vertices,
         first_edge=first_edge,
-        safe=_compute_safe(graph, feas_set, considered_vertices, first_edge, eff.rank[m:]),
+        safe=_compute_safe(graph, feas_set, first_edge, real.rank[m:]),
     )
 
 

@@ -20,9 +20,15 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .adversary import OrderStrategy
-from .core import Graph, InputError, validate_matching
+from .core import Graph, InputError, Realization, validate_matching
 from .distributions import DistSpec, InstanceSpec, _edge_words, draw_realization
-from .edge_arrival import _kernel_agrees, _records_agree, run_offline_edge, run_online_edge
+from .edge_arrival import (
+    _kernel_agrees,
+    _records_agree,
+    _static_batch,
+    run_offline_edge,
+    run_online_edge,
+)
 from .harness import (
     ExperimentConfig,
     estimate_ratio,
@@ -43,7 +49,12 @@ from .instances import (
 )
 from .oracle import greedy_matching, max_weight_matching
 from .truthful import maximality_check, misreport_audit, run_truthful
-from .vertex_arrival import run_offline_vertex, run_online_vertex
+from .vertex_arrival import (
+    _require_bipartite,
+    build_safe_matching,
+    run_offline_vertex,
+    run_online_vertex,
+)
 
 # ---------------------------------------------------------------------------
 # shipped experiment families
@@ -262,23 +273,23 @@ def check_vertex_coupling(instances: int = 1000, seed: int = 102) -> InvariantRe
         buyers = spec.graph.buyers
         order = [buyers[i] for i in _sweep_orders(rng, len(buyers), k)]
         real = draw_realization(spec, int(rng.integers(0, 2**63)))
-        trace = run_offline_vertex(spec, real, order)
-        rec = trace.record
+        rec = run_offline_vertex(spec, real, order)
+        safe = build_safe_matching(spec.graph, rec.feasible, real)
         online = run_online_vertex(spec, real, order)
         if not _records_agree(online, rec):
             failures += 1
-        if not _kernel_agrees("vertex", spec.graph, real, order, online, trace.safe_matching):
+        if not _kernel_agrees("vertex", spec.graph, real, order, online, safe):
             kernel_failures += 1
         # each buyer at most once in the feasible set; weight sandwich holds
         seen_buyers = [spec.graph.buyer_item(e)[0] for e in rec.feasible]
         if len(seen_buyers) != len(set(seen_buyers)):
             structural += 1
         if not (
-            rec.matching.weight <= trace.safe_matching.weight + 1e-12
-            and trace.safe_matching.weight <= rec.feasible_weight + 1e-12
+            rec.matching.weight <= safe.weight + 1e-12
+            and safe.weight <= rec.feasible_weight + 1e-12
         ):
             structural += 1
-        if not validate_matching(spec.graph, trace.safe_matching):
+        if not validate_matching(spec.graph, safe):
             structural += 1
     passed = failures == 0 and kernel_failures == 0 and structural == 0
     return InvariantResult(
@@ -421,10 +432,11 @@ def check_edge_chain(
             order = [int(x) for x in rng_orders.permutation(m)]
             trace = run_offline_edge(spec, real, order)
             feas = frozenset(trace.record.feasible)
+            considered = frozenset(trace.first_edge)  # the leads are summed in its order
             values = real.real_values
             lead = 0.0
             feasible_leads = 0
-            for v in trace.considered_vertices:
+            for v in considered:
                 e = trace.first_edge[v]
                 if e in feas:
                     lead += values[e]
@@ -434,7 +446,7 @@ def check_edge_chain(
             ms_w[t] = trace.record.sample_matching.weight
             safe_sum[t] = safe_val
             match_w[t] = trace.record.matching.weight
-            n_considered[t] = len(trace.considered_vertices)
+            n_considered[t] = len(considered)
             n_lead_feasible[t] = feasible_leads
             n_safe[t] = len(trace.safe)
     results = [
@@ -469,26 +481,34 @@ def check_coin_fairness(
 
     Measured with genuinely independent coins, the reading in which the rate
     is exactly a fair coin: each edge's coin is one bit of a hash of its
-    endpoints under a per-trial coin seed.
+    endpoints under a per-trial coin seed.  The twin's coupled coin is heads
+    exactly when an edge's real draw ranks above its sample, so it runs on
+    the realization with the two draws of every edge whose coin disagrees
+    swapped.  That is the same as flipping the coins during the scan: the
+    pool of active vertices only shrinks, so a copy skipped once is never
+    considered later.
     """
     edges = spec.graph.edges
     rng_orders = np.random.default_rng(np.random.SeedSequence([seed, 778]))
     m = spec.graph.num_edges
+    draws = np.arange(2 * m)
+    partners = np.roll(draws, m)  # draw e <-> draw m+e
     num = np.empty(trials)
     den = np.empty(trials)
     coin_seeds = trial_seeds(seed ^ 0xC0FFEE, trials).tolist()
     for chunk in trial_chunks(spec, seed, trials):
         for t, real in enumerate(chunk.reals, chunk.start):
             order = [int(x) for x in rng_orders.permutation(m)]
-            coin_seed = coin_seeds[t]
-
-            def heads(e: int) -> bool:
-                return bool(_edge_words(coin_seed, *edges[e], _COIN_SALT)[0] & 1)
-
-            trace = run_offline_edge(spec, real, order, coins=heads)
+            heads = np.array(
+                [_edge_words(coin_seeds[t], u, v, _COIN_SALT)[0] & 1 for u, v in edges],
+                dtype=bool,
+            )
+            rank = real.rank_array
+            swap = np.where(np.tile(heads != (rank[m:] < rank[:m]), 2), partners, draws)
+            trace = run_offline_edge(spec, Realization(real.values[swap], real.keys[swap]), order)
             feas = frozenset(trace.record.feasible)
-            den[t] = len(trace.considered_vertices)
-            num[t] = sum(1 for v in trace.considered_vertices if trace.first_edge[v] in feas)
+            den[t] = len(trace.first_edge)
+            num[t] = sum(1 for e in trace.first_edge.values() if e in feas)
     p, se = _ratio_se(num, den)
     return InvariantResult(
         name=f"edge_chain/coin_fairness[{label}]",
@@ -511,31 +531,33 @@ def check_vertex_chain(
     (feasible_vs_sample, also measured here).  Item conflicts can cost the
     safe matching enough to flip safe_vs_sample negative on some families;
     both forms are reported so the gap is visible.
+
+    Each chunk of trials runs in one ``_static_batch`` call: its sample
+    matching, feasible, safe and matching weights are the online run's, bit
+    for bit, and so the offline twin's, by the coupling.
     """
+    graph = spec.graph
+    _require_bipartite(graph)
     rng_orders = np.random.default_rng(np.random.SeedSequence([seed, 779]))
-    buyers = list(spec.graph.buyers)
+    buyers = np.array(graph.buyers, dtype=np.intp)
     ms_w = np.empty(trials)
     feas_w = np.empty(trials)
     safe_w = np.empty(trials)
     match_w = np.empty(trials)
     opt_w = np.empty(trials)
-    sandwich_failures = 0
     for chunk in trial_chunks(spec, seed, trials):
-        for t, real in enumerate(chunk.reals, chunk.start):
-            order = [buyers[int(x)] for x in rng_orders.permutation(len(buyers))]
-            trace = run_offline_vertex(spec, real, order)
-            ms_w[t] = trace.record.sample_matching.weight
-            feas_w[t] = trace.record.feasible_weight
-            safe_w[t] = trace.safe_matching.weight
-            match_w[t] = trace.record.matching.weight
-            if not (
-                match_w[t] <= safe_w[t] + 1e-12
-                and safe_w[t] <= trace.record.feasible_weight + 1e-12
-            ):
-                sandwich_failures += 1
-        opt_w[chunk.start : chunk.start + len(chunk.reals)] = max_matching_weights(
-            spec.graph, chunk.values[:, spec.graph.num_edges :]
-        )
+        rows = slice(chunk.start, chunk.start + len(chunk.seeds))
+        # one permutation per trial, in trial order: the order stream
+        orders = np.array([buyers[rng_orders.permutation(len(buyers))] for _ in chunk.seeds])
+        runs = _static_batch("vertex", graph, chunk.values, chunk.rank, orders)
+        ms_w[rows] = runs.sample_matching_weight
+        feas_w[rows] = runs.feasible_weight
+        safe_w[rows] = runs.safe_weight
+        match_w[rows] = runs.matching_weight
+        opt_w[rows] = max_matching_weights(graph, chunk.values[:, graph.num_edges :])
+    sandwich_failures = int(
+        np.count_nonzero(~((match_w <= safe_w + 1e-12) & (safe_w <= feas_w + 1e-12)))
+    )
     results = [
         _paired_result(f"vertex_chain/feasible_vs_sample[{label}]", 2.0 * feas_w - ms_w),
         _paired_result(f"vertex_chain/safe_vs_sample[{label}]", 2.0 * safe_w - ms_w),

@@ -157,6 +157,8 @@ def misreport_audit(
     truthful utility is at least as large in every trial.
     """
     truthful = run_truthful(spec, real, order)
+    if buyer not in spec.graph.buyers:
+        raise InputError(f"{buyer!r} is not a buyer of the instance")
     base = truthful.utilities.get(buyer, 0.0)
     true_values = {e: real.real_values[e] for e in spec.graph.incident[buyer]}
     rng = np.random.default_rng(np.random.SeedSequence([seed, buyer]))

@@ -9,12 +9,13 @@ price and its item price.  That edge joins the matching iff its item is free.
 The offline twin scans all 2m draws from best to worst, keeping three
 pools: buyers still open for a feasible edge, buyers still open on the sample
 side, and items still open on the sample side.  Under the coupling coin
-convention it reproduces the online run exactly, realization by realization.
+convention it reproduces the online run exactly, realization by realization,
+so it returns the same ``RunRecord``, which the coupling check compares.
+The safe matching is ``build_safe_matching`` of either run's feasible set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
@@ -63,18 +64,6 @@ def run_online_vertex(spec: InstanceSpec, real: Realization, order) -> RunRecord
     return _drive_arrivals(spec, real, order, graph.buyers, "buyer", chooser)
 
 
-@dataclass(frozen=True)
-class VertexArrivalTrace:
-    """Offline-run trace for the vertex-arrival model.
-
-    ``safe_matching`` resolves each item's feasible-set conflicts in favor of
-    the largest incident feasible edge.
-    """
-
-    record: RunRecord
-    safe_matching: Matching
-
-
 def build_safe_matching(graph: Graph, feasible: Sequence[int], real: Realization) -> Matching:
     """Keep, per item, the highest-ranked edge of a feasible set.
 
@@ -93,7 +82,7 @@ def build_safe_matching(graph: Graph, feasible: Sequence[int], real: Realization
     return Matching.from_edges(best_for_item.values(), real.real_values)
 
 
-def run_offline_vertex(spec: InstanceSpec, real: Realization, order) -> VertexArrivalTrace:
+def run_offline_vertex(spec: InstanceSpec, real: Realization, order) -> RunRecord:
     """Run the offline twin of the vertex-arrival algorithm, coins coupled.
 
     Scans all 2m draws from best to worst.  A real draw joins the feasible
@@ -107,9 +96,13 @@ def run_offline_vertex(spec: InstanceSpec, real: Realization, order) -> VertexAr
     """
     graph = spec.graph
     _require_bipartite(graph)
+    m = graph.num_edges
+    if real.num_edges != m:
+        from .core import InputError  # raised only here; keeps the module's names few
+
+        raise InputError("realization does not match the instance graph")
     seq = _check_order(order, graph.buyers, "buyer")
 
-    m = graph.num_edges
     open_real: set[int] = set(graph.buyers)
     open_sample: set[int] = set(graph.buyers)
     open_items: set[int] = set(graph.items)
@@ -145,13 +138,10 @@ def run_offline_vertex(spec: InstanceSpec, real: Realization, order) -> VertexAr
             taken.add(j)
 
     sample_matching = Matching.from_edges(sample_ids, real.sample_values)
-    record = RunRecord(
+    return RunRecord(
         matching=Matching.from_edges(accepted, real.real_values),
         sample_matching=sample_matching,
         feasible=tuple(feasible),
         feasible_weight=matching_weight(feasible, real.real_values),
         prices=PriceTable.from_matching(graph, sample_matching, real),
-    )
-    return VertexArrivalTrace(
-        record=record, safe_matching=build_safe_matching(graph, feasible, real)
     )

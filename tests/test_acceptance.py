@@ -210,8 +210,9 @@ def test_c06_vertex_safe_matching_sample_bound(vertex_chains):
     step from the feasible set to the conflict-resolved safe matching discards
     the weight a buyer's edge loses when it is beaten at its item.  Measured
     at 150k trials the violation is unambiguous (K44/uniform: mean -0.026,
-    z = -6.2; K36/bernoulli fails at z < -7 already at 10^4 trials).  The
-    neighbouring links and all end-to-end guarantees hold with wide margins.
+    z = -6.2; K36/bernoulli fails at z = -6.7 already at 10^4 trials, mean
+    -0.1123, se 0.0167).  The neighbouring links and all end-to-end
+    guarantees hold with wide margins.
     """
     results = [r for r in vertex_chains if "safe_vs_sample" in r.name]
     ok = all(r.passed for r in results)

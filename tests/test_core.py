@@ -215,26 +215,6 @@ class TestRealization:
                 m = real.num_edges
                 assert real.edge_order(copy) == [d - copy * m for d in ref if d // m == copy]
 
-    def test_swap_copies_equals_a_fresh_sort(self):
-        # swapping edges' two draws must give exactly the realization that
-        # sorting the swapped arrays from scratch gives; ties included
-        rng = np.random.default_rng(23)
-        specs = [random_small_instance(rng) for _ in range(40)]
-        specs += [complete_graph(5, DistSpec.bernoulli_scaled(0.5, 1.0))] * 20
-        for spec in specs:
-            real = draw_realization(spec, int(rng.integers(0, 2**63)))
-            m = real.num_edges
-            flipped = [e for e in range(m) if rng.random() < 0.5]
-            swap = list(range(2 * m))
-            for e in flipped:
-                swap[e], swap[m + e] = m + e, e
-            fresh = Realization(values=real.values[swap], keys=real.keys[swap])
-            got = real.swap_copies(flipped)
-            assert got == fresh
-            assert (got.order, got.rank) == (fresh.order, fresh.rank)
-            assert (got.sample_values, got.real_values) == (fresh.sample_values, fresh.real_values)
-            assert got.samples == fresh.samples and got.reals == fresh.reals
-
     def test_key_must_be_64_bit_unsigned(self):
         for bad in (-1, 2**64):
             with pytest.raises(InputError):

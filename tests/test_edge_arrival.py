@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from prophet_matching.adversary import OrderStrategy, static_order
-from prophet_matching.core import ContractViolation, InputError, validate_matching
+from prophet_matching.core import ContractViolation, InputError, Realization, validate_matching
 from prophet_matching.distributions import DistSpec, InstanceSpec, draw_batch, draw_realization
 from prophet_matching.edge_arrival import (
     _records_agree,
@@ -77,10 +77,22 @@ def _three_path():
     return spec, real
 
 
+def _forced(real, heads):
+    """``real`` with the two draws of every edge whose coin ``heads(e)``
+    disagrees with the coupled coin swapped: the twin's coupled run on it is
+    the run under coins ``heads``."""
+    m, rank = real.num_edges, real.rank
+    swap = list(range(2 * m))
+    for e in range(m):
+        if heads(e) != (rank[m + e] < rank[e]):
+            swap[e], swap[m + e] = m + e, e
+    return Realization(values=real.values[swap], keys=real.keys[swap])
+
+
 class TestOfflineForcedCoins:
     def test_all_tails_routes_everything_to_samples(self):
         spec, real = _three_path()
-        trace = run_offline_edge(spec, real, [0, 1, 2], coins=lambda e: False)
+        trace = run_offline_edge(spec, _forced(real, lambda e: False), [0, 1, 2])
         assert trace.record.feasible == ()
         # the sample matching is greedy on the larger draw of each edge (5, 4, 6)
         assert trace.record.sample_matching.edges == {0, 2}
@@ -89,7 +101,7 @@ class TestOfflineForcedCoins:
 
     def test_all_heads_hand_trace(self):
         spec, real = _three_path()
-        trace = run_offline_edge(spec, real, [0, 1, 2], coins=lambda e: True)
+        trace = run_offline_edge(spec, _forced(real, lambda e: True), [0, 1, 2])
         # scan order 6,5,4: every first copy is considered and goes feasible
         assert trace.record.feasible == (2, 0, 1)
         # the later, smaller copies: only edge 1 still has both endpoints active
@@ -99,13 +111,12 @@ class TestOfflineForcedCoins:
         assert trace.record.matching.edges == {0, 2}
         assert trace.record.matching.weight == 5.0 + 6.0
         assert trace.first_edge == {0: 0, 1: 0, 2: 2, 3: 2}
-        assert trace.considered_vertices == {0, 1, 2, 3}
         assert trace.safe == frozenset()
 
     def test_forced_mapping_accepted(self):
         spec, real = _three_path()
         forced = {0: True, 1: False, 2: True}
-        trace = run_offline_edge(spec, real, [0, 1, 2], coins=forced.__getitem__)
+        trace = run_offline_edge(spec, _forced(real, forced.__getitem__), [0, 1, 2])
         assert 0 in set(trace.record.feasible)
         assert 2 in set(trace.record.feasible)
 
@@ -276,6 +287,28 @@ class TestStructure:
         # numpy integers are integer ids
         ids = list(range(len(order)))
         assert run(spec, real, np.array(ids)) == run(spec, real, ids)
+
+    @pytest.mark.parametrize("buyers", [3, 1], ids=["larger", "smaller"])
+    @pytest.mark.parametrize(
+        "run, order",
+        [
+            pytest.param(run, order, id=run.__name__)
+            for run, order in (
+                (run_online_edge, [0, 1, 2, 3]),
+                (run_offline_edge, [0, 1, 2, 3]),
+                (run_online_vertex, [0, 1]),
+                (run_offline_vertex, [0, 1]),
+            )
+        ],
+    )
+    def test_realization_of_another_graph_rejected(self, run, order, buyers):
+        # the twins once took draw ids mod m: a larger realization ran on the
+        # wrong draws, and a smaller one raised IndexError
+        dist = DistSpec.uniform(0, 10)
+        spec = complete_bipartite(2, 2, dist)
+        real = draw_realization(complete_bipartite(buyers, buyers, dist), 5)
+        with pytest.raises(InputError, match="does not match the instance graph"):
+            run(spec, real, order)
 
 
 class TestCoinFairness:

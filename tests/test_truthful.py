@@ -125,6 +125,15 @@ class TestTruthfulness:
             for buyer in buyers:
                 assert misreport_audit(spec, real, order, buyer, trials=30, seed=k)
 
+    @pytest.mark.parametrize("buyer", [7, 2], ids=["out_of_range", "item"])
+    def test_audit_of_a_non_buyer_rejected(self, buyer):
+        # K2,2: buyers 0 and 1, items 2 and 3
+        graph = bipartite_graph([0, 1], [2, 3], [(0, 2), (0, 3), (1, 2), (1, 3)])
+        spec = InstanceSpec(graph=graph, dists=(DistSpec.uniform(0, 10),) * 4)
+        real = draw_realization(spec, 3)
+        with pytest.raises(InputError, match="not a buyer"):
+            misreport_audit(spec, real, [0, 1], buyer, trials=5)
+
     def test_individual_rationality_and_payment_rule(self):
         rng = np.random.default_rng(43)
         for _ in range(50):
