@@ -302,8 +302,8 @@ class TestStructure:
         ],
     )
     def test_realization_of_another_graph_rejected(self, run, order, buyers):
-        # the twins once took draw ids mod m: a larger realization ran on the
-        # wrong draws, and a smaller one raised IndexError
+        # draw ids taken mod m would run a larger realization on the wrong
+        # draws, and index past the end of a smaller one
         dist = DistSpec.uniform(0, 10)
         spec = complete_bipartite(2, 2, dist)
         real = draw_realization(complete_bipartite(buyers, buyers, dist), 5)
